@@ -1,8 +1,8 @@
 """Most-likely transition pathways of bistable 1D diffusions.
 
 The package solves the forward density equation and the backward hitting
-equation of an additive-noise SDE on a fixed grid, multiplies the two
-surfaces into the bridge density conditioned on both endpoints, and tracks
+equation of an additive-noise SDE on a fixed grid, multiplies two density
+surfaces into a pathway density (see :mod:`thcbridge.bridge`), and tracks
 its per-slice argmax to locate the abrupt switch between metastable states.
 The built-in drift is the reduced salinity dynamics of a two-box ocean
 circulation model.

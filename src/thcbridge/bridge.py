@@ -1,12 +1,12 @@
 """Bridge density and maximum-likelihood path extraction.
 
-Conditioning the diffusion on both endpoints factorizes the state density
-at intermediate times into a product of two one-endpoint surfaces.  The
-pathway pipeline multiplies the forward density from the start state with
-the endpoint-conditioned density (the forward solve from the end state read
-backward in time; see :func:`thcbridge.fpe.solve_endpoint_conditioned`) and
-tracks the per-slice argmax.  The abrupt transition shows up as a single
-step where that argmax flips between the two metastable wells.
+The pathway pipeline multiplies the forward density p from the start state
+with q, the forward solve from the end state read backward in time (see
+:func:`thcbridge.fpe.solve_endpoint_conditioned`), and tracks the per-slice
+argmax.  Per slice q is proportional to g * pi, the hitting density g of the
+end state times the stationary density pi, so the product is p * g * pi:
+the two-endpoint conditional density p * g tilted by pi (ROADMAP item 1).
+The abrupt transition shows up as a single step where that argmax flips.
 """
 
 from __future__ import annotations
@@ -124,10 +124,10 @@ def bridge_density(forward: DensitySurface, backward: DensitySurface,
                    normalize: bool = True) -> DensitySurface:
     """Pointwise product of the two endpoint surfaces, per slice.
 
-    ``backward`` is the endpoint factor: the conditioned surface for
-    pathways, or the raw hitting density for diagnostics.  The conditioning
-    only divides the product by per-slice constants, so normalization moves
-    no argmax; unnormalized output keeps the raw product.
+    ``backward`` is the endpoint factor: for pathways the conditioned
+    surface q, per slice proportional to g * pi, so the product is p * g * pi
+    (see the module docstring); for diagnostics the raw hitting density g.
+    Normalizing divides each slice by a constant and moves no argmax.
     """
     _check_compatible(forward, backward)
     grid = forward.grid

@@ -10,6 +10,7 @@ converged sweep row, 4 solver failure, 5 validation failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 import time
 from pathlib import Path
@@ -31,7 +32,8 @@ from .montecarlo import (
     MonteCarloError,
     euler_maruyama_ensemble,
 )
-from .output import write_csv, write_json, write_surface_binary, write_surface_csv
+from .output import (stored_steps, write_csv, write_json, write_long_csv,
+                     write_surface_binary, write_surface_csv)
 from .validate import run_checks
 
 EXIT_OK = 0
@@ -65,18 +67,13 @@ class _Manifest:
             self.data["resolved_model"] = {"f_bar": nd.f_bar, "alpha": nd.alpha,
                                            "mu2": nd.mu2}
 
+    @contextlib.contextmanager
     def time_stage(self, name: str):
-        manifest = self
-
-        class _Timer:
-            def __enter__(self):
-                self.start = time.perf_counter()
-
-            def __exit__(self, *exc):
-                manifest.data["timings_seconds"][name] = (
-                    time.perf_counter() - self.start)
-
-        return _Timer()
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.data["timings_seconds"][name] = time.perf_counter() - start
 
     def diagnose(self, key: str, value) -> None:
         self.data["diagnostics"][key] = value
@@ -145,7 +142,8 @@ def _dump_surface(config: RunConfig, manifest: _Manifest, args, kind: str) -> in
     else:
         write_surface_csv(manifest.out_dir / f"{kind}.csv", surface,
                           config.dump_every, value_name)
-    print(f"{kind} surface written ({surface.values.shape[0]} steps stored, "
+    n_stored = len(stored_steps(times.n_steps, config.dump_every))
+    print(f"{kind} surface written ({n_stored} steps stored, "
           f"dump_every={config.dump_every})")
     return EXIT_OK
 
@@ -218,11 +216,8 @@ def cmd_mc(config: RunConfig, manifest: _Manifest, args) -> int:
     with manifest.time_stage("mc"):
         hist = euler_maruyama_ensemble(drift, config.epsilon, config.y_start,
                                        grid, times, cfg)
-    rows = []
-    for row, t in enumerate(hist.times):
-        for i, y in enumerate(grid.nodes):
-            rows.append((t, y, hist.densities[row, i]))
-    write_csv(manifest.out_dir / "hist.csv", ["t", "y", "density"], rows)
+    write_long_csv(manifest.out_dir / "hist.csv", ["t", "y", "density"],
+                   hist.times, grid.nodes, hist.densities)
     write_json(manifest.out_dir / "mc_summary.json",
                {"n_paths": cfg.n_paths, "dt_sde": cfg.dt_sde, "seed": cfg.seed,
                 "dropped_fraction": hist.dropped_fraction,
@@ -271,7 +266,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", help="output directory (default: out)")
     common.add_argument("--seed", type=int, help="RNG seed override")
     common.add_argument("--dump-every", type=int, dest="dump_every",
-                        help="store every N-th time step in surface dumps")
+                        help="store every N-th time step (and the last) in dumps")
 
     model = argparse.ArgumentParser(add_help=False)
     model.add_argument("--eps", type=float, help="noise intensity override")

@@ -30,34 +30,37 @@ def write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def surface_rows(surface, dump_every: int = 1):
-    """Long-format (t, y, value) rows of a density surface, thinned in time."""
-    t_nodes = surface.times.nodes
-    y_nodes = surface.grid.nodes
-    # always include the final stored step so the terminal slice survives thinning
-    steps = list(range(0, surface.times.n_steps + 1, dump_every))
-    if steps[-1] != surface.times.n_steps:
-        steps.append(surface.times.n_steps)
-    for n in steps:
-        row_t = t_nodes[n]
-        values = surface.values[n]
-        for i in range(y_nodes.size):
-            yield row_t, y_nodes[i], values[i]
+def stored_steps(n_steps: int, dump_every: int) -> list[int]:
+    """Every ``dump_every``-th step from 0; the final step is always kept."""
+    steps = list(range(0, n_steps + 1, dump_every))
+    return steps if steps[-1] == n_steps else steps + [n_steps]
+
+
+def write_long_csv(path: Path, header: list[str], times, nodes, rows) -> None:
+    """Long-format ``t,y,value`` lines, one float slice ``rows[k]`` per
+    ``times[k]``, written a slice at a time; same bytes as :func:`write_csv`.
+    """
+    # "t".join(["", ",y0,%.17g\n", ",y1,%.17g\n", ...]) starts each line with t
+    line_tails = ["", *(f",{format_value(y)},%.17g\n" for y in nodes)]
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for t, values in zip(times, rows):
+            fh.write(format_value(t).join(line_tails) % tuple(values.tolist()))
 
 
 def write_surface_csv(path: Path, surface, dump_every: int = 1,
                       value_name: str = "p") -> None:
-    write_csv(path, ["t", "y", value_name], surface_rows(surface, dump_every))
+    steps = stored_steps(surface.times.n_steps, dump_every)
+    write_long_csv(path, ["t", "y", value_name], surface.times.nodes[steps],
+                   surface.grid.nodes, (surface.values[n] for n in steps))
 
 
 def write_surface_binary(path: Path, sidecar: Path, surface,
                          dump_every: int = 1) -> None:
     """Row-major float64 dump plus a JSON sidecar with the grid metadata."""
-    steps = list(range(0, surface.times.n_steps + 1, dump_every))
-    if steps[-1] != surface.times.n_steps:
-        steps.append(surface.times.n_steps)
+    steps = stored_steps(surface.times.n_steps, dump_every)
     block = surface.values[steps]
-    path.write_bytes(block.astype("<f8").tobytes(order="C"))
+    block.astype("<f8", copy=False).tofile(path)
     write_json(sidecar, {
         "dtype": "<f8",
         "order": "C",

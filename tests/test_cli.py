@@ -8,6 +8,10 @@ import numpy as np
 import pytest
 
 from thcbridge.cli import main
+from thcbridge.config import load_config
+from thcbridge.fpe import solve_backward, solve_forward
+from thcbridge.montecarlo import EnsembleConfig, euler_maruyama_ensemble
+from thcbridge.output import format_value
 
 FAST_ZERO = ["--param", "n_cells=200", "--param", "n_steps=400",
              "--param", "t_end=1", "--param", "y_min=-1", "--param", "y_max=2",
@@ -17,6 +21,13 @@ FAST_ZERO = ["--param", "n_cells=200", "--param", "n_steps=400",
 def read_csv(path: Path):
     with open(path) as handle:
         return list(csv.DictReader(handle))
+
+
+def long_csv_bytes(header, times, nodes, values) -> bytes:
+    lines = [",".join(header)]
+    lines.extend(",".join(format_value(v) for v in (t, y, row[i]))
+                 for t, row in zip(times, values) for i, y in enumerate(nodes))
+    return ("\n".join(lines) + "\n").encode()
 
 
 def read_manifest(out: Path) -> dict:
@@ -106,7 +117,7 @@ class TestBridgePath:
 
 
 class TestSurfaceDumps:
-    def test_forward_csv_thinned(self, tmp_path):
+    def test_forward_csv_thinned(self, tmp_path, capsys):
         out = tmp_path / "fw"
         args = ["forward", "--param", "n_cells=100", "--param", "n_steps=50",
                 "--param", "t_end=0.5", "--drift", "zero", "--start", "0.5",
@@ -116,6 +127,42 @@ class TestSurfaceDumps:
         assert len(rows) == 6 * 100       # steps 0,10,20,30,40,50
         stored = sorted({float(r["t"]) for r in rows})
         assert stored == pytest.approx([0.0, 0.1, 0.2, 0.3, 0.4, 0.5])
+        assert "(6 steps stored, dump_every=10)" in capsys.readouterr().out
+
+    def test_artifact_bytes(self, tmp_path):
+        # 57 steps thinned by 10 keep steps 0, 10, ..., 50 and the final 57
+        params = ["n_cells=64", "n_steps=57", "t_end=0.57", "n_paths=500"]
+        config = load_config(None, params, drift="zero", epsilon=0.3,
+                             y_start=0.5, y_end=0.5, seed=11, dump_every=10)
+        steps = [0, 10, 20, 30, 40, 50, 57]
+        drift, grid, times = (config.drift_model(), config.spatial_grid(),
+                              config.time_grid())
+        out = tmp_path / "bytes"
+        args = [a for p in params for a in ("--param", p)] + [
+            "--drift", "zero", "--eps", "0.3", "--start", "0.5", "--end", "0.5",
+            "--seed", "11", "--dump-every", "10", "--out", str(out)]
+        for command in (["forward"], ["forward", "--format", "binary"],
+                        ["backward"], ["mc"]):
+            assert main([*command, *args]) == 0
+
+        forward = solve_forward(drift, 0.3, grid, times, 0.5).values
+        backward = solve_backward(drift, 0.3, grid, times, 0.5).values
+        hist = euler_maruyama_ensemble(
+            drift, 0.3, 0.5, grid, times,
+            EnsembleConfig(n_paths=500, dt_sde=config.dt_sde, seed=11,
+                           reflect_at_bounds=config.reflect_at_bounds))
+        t_nodes = times.nodes[steps]
+        assert (out / "forward.csv").read_bytes() == long_csv_bytes(
+            ["t", "y", "p"], t_nodes, grid.nodes, forward[steps])
+        assert (out / "backward.csv").read_bytes() == long_csv_bytes(
+            ["t", "y", "g"], t_nodes, grid.nodes, backward[steps])
+        assert (out / "forward.bin").read_bytes() == \
+            forward[steps].astype("<f8").tobytes()
+        meta = json.loads((out / "forward.meta.json").read_text())
+        assert meta["stored_steps"] == steps
+        assert meta["shape"] == [len(steps), 64]
+        assert (out / "hist.csv").read_bytes() == long_csv_bytes(
+            ["t", "y", "density"], hist.times, grid.nodes, hist.densities)
 
     def test_binary_round_trip(self, tmp_path):
         out = tmp_path / "fb"
@@ -199,6 +246,7 @@ class TestFailureModes:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["error"]["message"] == "forced divergence"
         assert manifest["error"]["stage"] == "forward"
+        assert "forward" in manifest["timings_seconds"]
 
     def test_unwritable_out_dir_exit_2(self):
         assert main(["equilibria", "--out", "/dev/null/nope"]) == 2
