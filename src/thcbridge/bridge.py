@@ -22,7 +22,6 @@ from .fpe import (
     SolverError,
     SpatialGrid,
     TimeGrid,
-    mass,
     solve_endpoint_conditioned,
     solve_forward,
 )
@@ -88,36 +87,38 @@ def _check_compatible(forward: DensitySurface, backward: DensitySurface) -> None
         raise BridgeError(f"time grid mismatch: {forward.times} vs {backward.times}")
 
 
-def _product_slices(forward: DensitySurface, backward: DensitySurface):
-    """Yield (index, product slice) with the underflow-guarded product.
+def _product(forward: DensitySurface, backward: DensitySurface) -> np.ndarray:
+    """Underflow-guarded product of the two surfaces, one row per slice.
 
-    Slices whose factors are too small for linear arithmetic are rebuilt
-    from log values up to a positive per-slice scale, which leaves the
-    argmax (and any normalized use) unchanged.
+    Rows whose factors are too small for linear arithmetic are rebuilt
+    from log values up to a positive per-row scale, which leaves the
+    argmax (and any normalized use) unchanged.  The earliest failing slice
+    is the one reported.
     """
-    for n in range(forward.times.n_steps + 1):
-        p = forward.values[n]
-        g = backward.values[n]
-        p_max = p.max()
-        g_max = g.max()
-        if p_max <= 0.0 or g_max <= 0.0:
+    _check_compatible(forward, backward)
+    p, g = forward.values, backward.values
+    p_max, g_max = p.max(axis=1), g.max(axis=1)
+    empty = (p_max <= 0.0) | (g_max <= 0.0)
+    log_rows = np.flatnonzero(~empty & ((p_max < _LINEAR_FLOOR)
+                                        | (g_max < _LINEAR_FLOOR)))
+    prod = p * g
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_prod = np.log(p[log_rows]) + np.log(g[log_rows])
+        peak = log_prod.max(axis=1)
+        prod[log_rows] = np.exp(log_prod - peak[:, None])
+    disjoint = prod.max(axis=1) <= 0.0
+    disjoint[log_rows] = ~np.isfinite(peak)
+    failed = np.flatnonzero(empty | disjoint)
+    if failed.size:
+        n = int(failed[0])
+        if empty[n]:
             raise BridgeError(
                 f"all-zero density slice at step {n}: the grid or noise level "
                 "is too small for this horizon")
-        if p_max < _LINEAR_FLOOR or g_max < _LINEAR_FLOOR:
-            with np.errstate(divide="ignore"):
-                log_prod = np.log(p) + np.log(g)
-            peak = log_prod.max()
-            slice_ = np.exp(log_prod - peak) if np.isfinite(peak) else None
-        else:
-            slice_ = p * g
-            if slice_.max() <= 0.0:
-                slice_ = None
-        if slice_ is None:
-            raise BridgeError(
-                f"density supports do not overlap at step {n}: the noise "
-                "level is too small for this horizon")
-        yield n, slice_
+        raise BridgeError(
+            f"density supports do not overlap at step {n}: the noise "
+            "level is too small for this horizon")
+    return prod
 
 
 def bridge_density(forward: DensitySurface, backward: DensitySurface,
@@ -129,43 +130,41 @@ def bridge_density(forward: DensitySurface, backward: DensitySurface,
     (see the module docstring); for diagnostics the raw hitting density g.
     Normalizing divides each slice by a constant and moves no argmax.
     """
-    _check_compatible(forward, backward)
-    grid = forward.grid
-    values = np.empty_like(forward.values)
-    for n, slice_ in _product_slices(forward, backward):
-        if normalize:
-            m = mass(slice_, grid)
-            if m <= 0.0:
-                raise BridgeError(f"zero-mass bridge slice at step {n}")
-            slice_ = slice_ / m
-        values[n] = slice_
+    values = _product(forward, backward)
+    if normalize:
+        m = forward.grid.spacing * values.sum(axis=1)
+        zero = np.flatnonzero(m <= 0.0)
+        if zero.size:
+            raise BridgeError(f"zero-mass bridge slice at step {zero[0]}")
+        values /= m[:, None]
     values.setflags(write=False)
-    return DensitySurface(grid=grid, times=forward.times, values=values,
-                          kind="bridge", source=None)
+    return DensitySurface(grid=forward.grid, times=forward.times,
+                          values=values, kind="bridge", source=None)
 
 
-def _refine_argmax(nodes: np.ndarray, values: np.ndarray, j: int,
-                   spacing: float) -> float:
-    """Quadratic vertex through node j and its neighbors, in log space when
-    the three values are positive (exact for a locally Gaussian slice).
+def _subgrid_peaks(values: np.ndarray, j: np.ndarray,
+                   grid: SpatialGrid) -> np.ndarray:
+    """Quadratic vertex through each row's node j and its neighbors, in log
+    space when the three values are positive (exact for a locally Gaussian
+    slice).
 
-    The triple is normalized by the peak value first, so per-slice
+    Each triple is normalized by its peak value first, so per-slice
     rescalings of the surface leave the vertex essentially untouched.
-    Falls back to the node location at the grid edge, at a flat triple, or
+    A row keeps its node location at the grid edge, at a flat triple, or
     when the vertex escapes the bracketing cells.
     """
-    if j == 0 or j == nodes.size - 1:
-        return float(nodes[j])
-    v = values[j - 1:j + 2]
-    if np.all(v > 0.0):
-        v = np.log(v / v[1])
-    denom = v[0] - 2.0 * v[1] + v[2]
-    if denom >= 0.0:
-        return float(nodes[j])
-    offset = 0.5 * spacing * (v[0] - v[2]) / denom
-    if abs(offset) > spacing:
-        return float(nodes[j])
-    return float(nodes[j] + offset)
+    h = grid.spacing
+    psi = grid.nodes[j]
+    rows = np.flatnonzero((j > 0) & (j < grid.n_cells - 1))
+    v = values[rows[:, None], j[rows, None] + np.arange(-1, 2)]
+    positive = np.all(v > 0.0, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v[positive] = np.log(v[positive] / v[positive, 1:2])
+        denom = v[:, 0] - 2.0 * v[:, 1] + v[:, 2]
+        offset = 0.5 * h * (v[:, 0] - v[:, 2]) / denom
+    keep = (denom >= 0.0) | (np.abs(offset) > h)
+    psi[rows] = np.where(keep, psi[rows], psi[rows] + offset)
+    return psi
 
 
 def ml_path(forward: DensitySurface, backward: DensitySurface,
@@ -176,14 +175,10 @@ def ml_path(forward: DensitySurface, backward: DensitySurface,
     the surfaces' point-source locations, which the delta slices only
     resolve to one cell.
     """
-    _check_compatible(forward, backward)
+    values = _product(forward, backward)
+    j = np.argmax(values, axis=1)   # argmax returns the first (smallest-y) tie
     grid = forward.grid
-    nodes = grid.nodes
-    psi = np.empty(forward.times.n_steps + 1)
-    for n, slice_ in _product_slices(forward, backward):
-        j = int(np.argmax(slice_))   # argmax returns the first (smallest-y) tie
-        psi[n] = _refine_argmax(nodes, slice_, j, grid.spacing) if refine \
-            else nodes[j]
+    psi = _subgrid_peaks(values, j, grid) if refine else grid.nodes[j]
     if forward.source is not None:
         psi[0] = forward.source
     if backward.source is not None:

@@ -4,7 +4,10 @@ The forward equation evolves the transition density p(y, t | y1, 0) of the
 SDE dY = f(Y) dt + eps dB from a point source; the backward equation evolves
 g(y, t) = p(y3, T | y, t) from a terminal point target.  Both are solved on
 a fixed cell-centered grid with a conservative flux-form discretization,
-reflecting (zero-flux) boundaries and Crank-Nicolson time stepping.
+reflecting (zero-flux) boundaries and Crank-Nicolson time stepping.  The
+step matrices never change during a solve, so each scheme's tridiagonal
+matrix is LU-factored once (LAPACK ``dgttrf``) and every step is a
+triangular solve against those factors (``dgttrs``).
 
 The backward operator is the exact transpose of the forward one, which makes
 the discrete pairing integral(g * p) dy constant in time (the discrete
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 # Startup steps run backward Euler instead of Crank-Nicolson: CN is only
 # neutrally damping for stiff modes and would ring against the point-source
@@ -213,24 +216,29 @@ def _forward_operator(drift, eps: NoiseIntensity, grid: SpatialGrid):
 
 
 def _step_matrices(lower, diag, upper, dt: float, implicit_weight: float):
-    """Banded LHS and tridiagonal RHS for one theta-scheme step of size dt.
+    """LHS and RHS of one theta-scheme step of size dt.
 
-    implicit_weight=0.5 is Crank-Nicolson, 1.0 is backward Euler.  The LHS is
-    returned in solve_banded layout.
+    implicit_weight=0.5 is Crank-Nicolson, 1.0 is backward Euler.  Both
+    matrices are returned as (lower, diag, upper) diagonal triples.
     """
-    n = diag.size
     wi = implicit_weight * dt
     we = (1.0 - implicit_weight) * dt
+    lhs = (-wi * lower, 1.0 - wi * diag, -wi * upper)
+    rhs = (we * lower, 1.0 + we * diag, we * upper)
+    return lhs, rhs
 
-    ab = np.zeros((3, n))
-    ab[0, 1:] = -wi * upper
-    ab[1, :] = 1.0 - wi * diag
-    ab[2, :-1] = -wi * lower
 
-    rhs_lower = we * lower
-    rhs_diag = 1.0 + we * diag
-    rhs_upper = we * upper
-    return ab, (rhs_lower, rhs_diag, rhs_upper)
+def _factor(lhs, scheme: str):
+    """LU factors of a tridiagonal LHS, in the argument order of dgttrs.
+
+    dgttrf reports an exactly zero pivot through ``info`` instead of
+    raising, so a singular step matrix is turned into a SolverError here.
+    """
+    *factors, info = dgttrf(*lhs)
+    if info != 0:
+        raise SolverError(f"singular {scheme} step matrix "
+                          f"(zero pivot in row {info})")
+    return factors
 
 
 def _apply_tridiag(rhs, v: np.ndarray) -> np.ndarray:
@@ -253,19 +261,17 @@ def _sweep(lower, diag, upper, init: np.ndarray, times: TimeGrid,
     dt = times.dt
     n_start = min(rannacher_steps, n_steps)
 
-    cn_ab, cn_rhs = _step_matrices(lower, diag, upper, dt, 0.5)
-    be_ab, be_rhs = _step_matrices(lower, diag, upper, dt, 1.0)
+    be_lhs, be_rhs = _step_matrices(lower, diag, upper, dt, 1.0)
+    cn_lhs, cn_rhs = _step_matrices(lower, diag, upper, dt, 0.5)
+    be = _factor(be_lhs, "backward-Euler") if n_start > 0 else None
+    cn = _factor(cn_lhs, "Crank-Nicolson") if n_steps > n_start else None
 
     raw = np.empty((n_steps + 1, grid.n_cells))
     raw[0] = init
     v = init.copy()
     for k in range(n_steps):
-        if k < n_start:
-            ab, rhs = be_ab, be_rhs
-        else:
-            ab, rhs = cn_ab, cn_rhs
-        v = solve_banded((1, 1), ab, _apply_tridiag(rhs, v),
-                         overwrite_b=True, check_finite=False)
+        factors, rhs = (be, be_rhs) if k < n_start else (cn, cn_rhs)
+        v, _ = dgttrs(*factors, _apply_tridiag(rhs, v), overwrite_b=True)
         raw[k + 1] = v
         if not np.all(np.isfinite(v)):
             raise SolverError(f"non-finite density at step {k + 1} "

@@ -119,6 +119,7 @@ class TestAcceptance:
         passed = worst < 0.01
         report(7, passed, f"max relative variation = {worst:.2e} (< 1%)")
 
+    @pytest.mark.slow
     def test_criterion_8_monte_carlo(self, pipeline_eps20, mc_histogram_eps20):
         histogram, mc_elapsed = mc_histogram_eps20
         l1 = l1_distance(histogram, pipeline_eps20.forward.values[-1],

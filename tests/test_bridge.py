@@ -14,6 +14,7 @@ from thcbridge.bridge import (
     sweep_noise,
 )
 from thcbridge.fpe import (
+    DensitySurface,
     GridError,
     SpatialGrid,
     TimeGrid,
@@ -133,6 +134,126 @@ class TestMLPath:
         base = ml_path(forward, conditioned)
         rescaled = ml_path(forward, scaled)
         assert np.abs(base.psi - rescaled.psi).max() < 1e-9 * GRID.spacing
+
+
+def reference_path(forward, backward, refine):
+    """Per-slice argmax in the slice-by-slice form: each product slice built
+    on its own (in log space below 1e-280), its first maximum refined
+    through a quadratic on the node triple."""
+    nodes, h = forward.grid.nodes, forward.grid.spacing
+    psi = np.empty(forward.times.n_steps + 1)
+    for n, (p, g) in enumerate(zip(forward.values, backward.values)):
+        if p.max() < 1e-280 or g.max() < 1e-280:
+            with np.errstate(divide="ignore"):
+                log_prod = np.log(p) + np.log(g)
+            slice_ = np.exp(log_prod - log_prod.max())
+        else:
+            slice_ = p * g
+        j = int(np.argmax(slice_))
+        psi[n] = nodes[j]
+        if not refine or j == 0 or j == nodes.size - 1:
+            continue
+        v = slice_[j - 1:j + 2]
+        if np.all(v > 0.0):
+            v = np.log(v / v[1])
+        denom = v[0] - 2.0 * v[1] + v[2]
+        if denom >= 0.0:
+            continue
+        offset = 0.5 * h * (v[0] - v[2]) / denom
+        if abs(offset) <= h:
+            psi[n] = nodes[j] + offset
+    return psi
+
+
+def hand_surfaces(p_rows, g_rows):
+    grid = SpatialGrid(0.0, 1.0, 64)
+    times = TimeGrid(0.0, 1.0, len(p_rows) - 1)
+    return tuple(DensitySurface(grid=grid, times=times, values=np.array(rows),
+                                kind=kind)
+                 for rows, kind in ((p_rows, "forward"), (g_rows, "backward")))
+
+
+class TestHandMadeSlices:
+    """Argmax edge cases on small hand-built surfaces (no source pinning).
+
+    With j the first maximum, v[j-1] < v[j] >= v[j+1], so the quadratic
+    through the triple is never flat and its vertex stays within half a
+    cell: the flat-triple and escape fallbacks only guard non-finite input,
+    and the plateau slice is the closest finite case.
+    """
+
+    @staticmethod
+    def slices():
+        y = SpatialGrid(0.0, 1.0, 64).nodes
+        bump = np.exp(-((y - 0.55) / 0.2) ** 2)
+        tie = np.ones(64)
+        tie[[10, 30]] = 2.0
+        tie[[11, 29]] = 1.5, 1.2
+        plateau = bump.copy()
+        plateau[20:23] = 3.0
+        zero_neighbor = np.zeros(64)
+        zero_neighbor[40:42] = 1.0, 0.5
+        sparse_tiny = np.zeros(64)
+        sparse_tiny[50:52] = 1e-300, 3e-301
+        p_rows = [
+            np.exp(-5.0 * y),               # maximum at the first node
+            np.exp(5.0 * y),                # maximum at the last node
+            tie,                            # exact two-way tie: first wins
+            plateau,                        # three equal values on top
+            zero_neighbor,                  # refines in linear space
+            1e-300 * np.exp(-((y - 0.37) / 0.1) ** 2),   # log-space slice
+            sparse_tiny,                    # log space with zero neighbors
+            bump,
+        ]
+        g_rows = [np.ones(64), np.ones(64), np.ones(64), np.ones(64),
+                  bump, bump, 1e-10 * bump, 1e-290 * (1.0 + y)]
+        return p_rows, g_rows
+
+    @pytest.mark.parametrize("refine", [True, False])
+    def test_matches_per_slice_reference(self, refine):
+        forward, backward = hand_surfaces(*self.slices())
+        path = ml_path(forward, backward, refine=refine)
+        assert np.array_equal(path.psi, reference_path(forward, backward, refine))
+
+    def test_edge_and_tie_nodes(self):
+        forward, backward = hand_surfaces(*self.slices())
+        nodes = forward.grid.nodes
+        psi = ml_path(forward, backward).psi
+        assert psi[0] == nodes[0] and psi[1] == nodes[-1]
+        assert abs(psi[2] - nodes[10]) < forward.grid.spacing
+
+    def test_bridge_density_matches_per_slice_product(self):
+        forward, backward = hand_surfaces(*self.slices())
+        raw = bridge_density(forward, backward, normalize=False).values
+        unit = bridge_density(forward, backward).values
+        for n, (p, g) in enumerate(zip(forward.values, backward.values)):
+            if min(p.max(), g.max()) < 1e-280:    # log-space rebuild
+                with np.errstate(divide="ignore"):
+                    log_prod = np.log(p) + np.log(g)
+                expected = np.exp(log_prod - log_prod.max())
+            else:
+                expected = p * g
+            assert np.array_equal(raw[n], expected)
+            assert np.array_equal(unit[n],
+                                  expected / (forward.grid.spacing * expected.sum()))
+
+    def test_all_zero_slice_reports_its_step(self):
+        p_rows, g_rows = self.slices()
+        p_rows[3] = np.zeros(64)
+        g_rows[5] = np.zeros(64)
+        with pytest.raises(BridgeError, match="all-zero density slice at step 3"):
+            ml_path(*hand_surfaces(p_rows, g_rows))
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-300])
+    def test_disjoint_supports_report_the_earliest_step(self, scale):
+        p_rows, g_rows = self.slices()
+        left, right = np.zeros(64), np.zeros(64)
+        left[:10] = scale
+        right[40:] = 1.0
+        p_rows[2], g_rows[2] = left, right
+        p_rows[4] = np.zeros(64)
+        with pytest.raises(BridgeError, match="do not overlap at step 2"):
+            bridge_density(*hand_surfaces(p_rows, g_rows))
 
 
 class TestDetectJump:

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_banded
 
 from thcbridge.fpe import (
+    RANNACHER_STEPS,
     GridError,
     NoiseIntensity,
     SolverError,
@@ -22,6 +24,7 @@ from thcbridge.fpe import (
     solve_forward,
     stationary_density,
 )
+from thcbridge.fpe import _forward_operator, _sweep
 from thcbridge.model import CessiReduced, LinearOU, ZeroDrift
 from thcbridge.montecarlo import l1_distance
 
@@ -281,6 +284,50 @@ class TestEndpointConditioned:
         assert l1_distance(conditioned.values[n], tilted, grid) < 1e-3
 
 
+def banded_reference(lower, diag, upper, init, times):
+    """Theta-scheme sweep that re-factors its matrix with solve_banded at
+    every step: the stepper the factor-once solver must reproduce bit for
+    bit."""
+    raw = [init]
+    v = init.copy()
+    for k in range(times.n_steps):
+        weight = 1.0 if k < RANNACHER_STEPS else 0.5
+        wi = weight * times.dt
+        we = (1.0 - weight) * times.dt
+        ab = np.zeros((3, diag.size))
+        ab[0, 1:] = -wi * upper
+        ab[1, :] = 1.0 - wi * diag
+        ab[2, :-1] = -wi * lower
+        rhs = (1.0 + we * diag) * v
+        rhs[:-1] += (we * upper) * v[1:]
+        rhs[1:] += (we * lower) * v[:-1]
+        v = solve_banded((1, 1), ab, rhs, overwrite_b=True, check_finite=False)
+        raw.append(v)
+    return np.array(raw)
+
+
+class TestSolverBits:
+    # 24 backward-Euler startup steps followed by 56 Crank-Nicolson steps
+    GRID = SpatialGrid(-1.0, 2.5, 96)
+    TIMES = TimeGrid(0.0, 2.0, 80)
+
+    def test_forward_matches_banded_reference(self):
+        lower, diag, upper = _forward_operator(CESSI, NoiseIntensity(0.25),
+                                               self.GRID)
+        ref = banded_reference(lower, diag, upper,
+                               delta_init(self.GRID, 0.2402), self.TIMES)
+        surface = solve_forward(CESSI, 0.25, self.GRID, self.TIMES, 0.2402)
+        assert np.array_equal(surface.values, np.maximum(ref, 0.0))
+
+    def test_backward_matches_banded_reference(self):
+        lower, diag, upper = _forward_operator(CESSI, NoiseIntensity(0.25),
+                                               self.GRID)
+        ref = banded_reference(upper, diag, lower,
+                               delta_init(self.GRID, 1.0687), self.TIMES)
+        surface = solve_backward(CESSI, 0.25, self.GRID, self.TIMES, 1.0687)
+        assert np.array_equal(surface.values, np.maximum(ref[::-1], 0.0))
+
+
 class TestSolverGuards:
     def test_mass_drift_aborts(self):
         # a drift with huge outflow against reflecting walls stays conservative,
@@ -293,6 +340,23 @@ class TestSolverGuards:
         grid = SpatialGrid(-1.0, 1.0, 100)
         with pytest.raises(SolverError):
             solve_forward(BadDrift(), 0.2, grid, TimeGrid(0.0, 1.0, 100), 0.0)
+
+    @pytest.mark.parametrize("rannacher_steps, weight, scheme", [
+        (RANNACHER_STEPS, 1.0, "backward-Euler"),
+        (0, 0.5, "Crank-Nicolson"),
+    ])
+    def test_singular_step_matrix_raises_solver_error(self, rannacher_steps,
+                                                      weight, scheme):
+        # a zero second pivot: the LHS diagonal 1 - weight*dt*diag reads
+        # [1, 0, 1, 1, ...]; LAPACK reports it through info, not an exception
+        grid = SpatialGrid(-1.0, 1.0, 64)
+        times = TimeGrid(0.0, 1.0, 2)
+        diag = np.zeros(grid.n_cells)
+        diag[1] = 1.0 / (weight * times.dt)
+        off = np.zeros(grid.n_cells - 1)
+        with pytest.raises(SolverError, match=f"singular {scheme}"):
+            _sweep(off, diag, off, delta_init(grid, 0.0), times,
+                   rannacher_steps, check_mass=False, grid=grid)
 
 
 class TestHittingProbability:

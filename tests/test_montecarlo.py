@@ -149,6 +149,7 @@ class TestHitting:
                                          0.1, cfg)
 
 
+@pytest.mark.slow
 class TestSlowCrossValidation:
     """Statistical agreement between the ensemble and the density solver."""
 
