@@ -69,7 +69,12 @@ def _snap_steps(duration: float, dt: float) -> int:
 
 def _reflect(y: np.ndarray, lo: float, hi: float) -> np.ndarray:
     span = hi - lo
-    z = np.mod(y - lo, 2.0 * span)
+    z = y - lo
+    if z.min() >= 0.0 and z.max() <= span:
+        # Every path is inside: the fold below is the identity on z, so
+        # only the (y - lo) + lo rounding is kept.  NaN takes the full fold.
+        return np.add(z, lo, out=z)
+    z = np.mod(z, 2.0 * span)
     return lo + np.where(z <= span, z, 2.0 * span - z)
 
 
@@ -91,7 +96,7 @@ def _evolve_batches(drift, eps, y0: float, duration: float, cfg: EnsembleConfig,
     n_steps = _snap_steps(duration, cfg.dt_sde)
     if any(s < 0 or s > n_steps for s in snapshot_steps):
         raise GridError("snapshot step outside the simulated range")
-    sqrt_dt = math.sqrt(cfg.dt_sde)
+    noise_scale = eps.epsilon * math.sqrt(cfg.dt_sde)
     wanted = set(snapshot_steps)
 
     for batch_index, batch_n in enumerate(_batch_sizes(cfg.n_paths)):
@@ -99,12 +104,18 @@ def _evolve_batches(drift, eps, y0: float, duration: float, cfg: EnsembleConfig,
             np.random.SeedSequence(entropy=cfg.seed, spawn_key=(batch_index,)))
         y = np.full(batch_n, float(y0))
         alive = np.ones(batch_n, dtype=bool)
+        step_drift = np.empty(batch_n)
+        noise = np.empty(batch_n)
         snaps: dict[int, np.ndarray] = {}
         if 0 in wanted:
             snaps[0] = y.copy()
         for step in range(1, n_steps + 1):
-            y = y + np.asarray(drift.drift(y)) * cfg.dt_sde \
-                + eps.epsilon * sqrt_dt * rng.standard_normal(batch_n)
+            # y + f(y) dt + eps sqrt(dt) N, in place and in that order.
+            np.multiply(drift.drift(y), cfg.dt_sde, out=step_drift)
+            rng.standard_normal(out=noise)
+            noise *= noise_scale
+            y += step_drift
+            y += noise
             if bounds is not None:
                 if cfg.reflect_at_bounds:
                     y = _reflect(y, bounds[0], bounds[1])

@@ -10,6 +10,7 @@ from thcbridge.fpe import GridError, SpatialGrid, TimeGrid, solve_forward
 from thcbridge.model import CessiReduced, ZeroDrift
 from thcbridge.montecarlo import (
     EnsembleConfig,
+    _reflect,
     estimate_hitting_probability,
     euler_maruyama_ensemble,
     l1_distance,
@@ -97,6 +98,24 @@ class TestEnsemble:
         masses = hist.densities.sum(axis=1) * narrow.spacing
         assert np.abs(masses - 1.0).max() < 1e-12
         assert hist.dropped_fraction == 0.0
+
+    def test_reflect_matches_full_fold_bitwise(self):
+        lo, hi = -1.0, 2.5
+        span = hi - lo
+
+        def fold(y):
+            z = np.mod(y - lo, 2.0 * span)
+            return lo + np.where(z <= span, z, 2.0 * span - z)
+
+        rng = np.random.default_rng(11)
+        # Full-precision values, so (y - lo) + lo rounds away from y.
+        inside = np.clip(0.7 + 0.6 * rng.standard_normal(1000), lo, hi)
+        inside[:2] = lo, hi                           # both edges included
+        assert np.any((inside - lo) + lo != inside)
+        mixed = np.concatenate([inside, [lo - 0.3, hi + 0.7, hi + 9.1]])
+        for y in (inside, mixed):
+            assert np.array_equal(_reflect(y, lo, hi), fold(y))
+        assert np.isnan(_reflect(np.array([0.0, np.nan]), lo, hi)[1])
 
     def test_dropping_counts_escapes(self):
         narrow = SpatialGrid(-0.2, 0.2, 64)
