@@ -150,8 +150,10 @@ def _subgrid_peaks(values: np.ndarray, j: np.ndarray,
 
     Each triple is normalized by its peak value first, so per-slice
     rescalings of the surface leave the vertex essentially untouched.
-    A row keeps its node location at the grid edge, at a flat triple, or
-    when the vertex escapes the bracketing cells.
+    With j the first maximum, v[j-1] < v[j] >= v[j+1], so a finite vertex
+    lies within half a cell.  A row keeps its node location at the grid
+    edge, or when the vertex is not finite (a neighbor ratio that
+    underflows to zero, or a triple that rounds flat).
     """
     h = grid.spacing
     psi = grid.nodes[j]
@@ -162,8 +164,7 @@ def _subgrid_peaks(values: np.ndarray, j: np.ndarray,
         v[positive] = np.log(v[positive] / v[positive, 1:2])
         denom = v[:, 0] - 2.0 * v[:, 1] + v[:, 2]
         offset = 0.5 * h * (v[:, 0] - v[:, 2]) / denom
-    keep = (denom >= 0.0) | (np.abs(offset) > h)
-    psi[rows] = np.where(keep, psi[rows], psi[rows] + offset)
+    psi[rows] = np.where(np.isfinite(offset), psi[rows] + offset, psi[rows])
     return psi
 
 

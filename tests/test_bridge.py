@@ -178,8 +178,8 @@ class TestHandMadeSlices:
 
     With j the first maximum, v[j-1] < v[j] >= v[j+1], so the quadratic
     through the triple is never flat and its vertex stays within half a
-    cell: the flat-triple and escape fallbacks only guard non-finite input,
-    and the plateau slice is the closest finite case.
+    cell: only a non-finite vertex falls back to the node, and the plateau
+    slice is the closest finite case.
     """
 
     @staticmethod
@@ -236,6 +236,16 @@ class TestHandMadeSlices:
             assert np.array_equal(raw[n], expected)
             assert np.array_equal(unit[n],
                                   expected / (forward.grid.spacing * expected.sum()))
+
+    def test_underflowing_neighbor_keeps_the_node(self):
+        # 1e-30 / 1e300 underflows to 0, so the log-space vertex is NaN.
+        row = np.zeros(64)
+        row[30:33] = 1e-30, 1e300, 1e299
+        forward, backward = hand_surfaces([row, row], [np.ones(64)] * 2)
+        node = forward.grid.nodes[31]
+        for refine in (True, False):
+            assert np.array_equal(ml_path(forward, backward, refine).psi,
+                                  [node, node])
 
     def test_all_zero_slice_reports_its_step(self):
         p_rows, g_rows = self.slices()
