@@ -1,14 +1,20 @@
 """Euler-Maruyama ensembles used to cross-validate the density solvers.
 
 Paths are advanced in fixed-size batches, each drawing from an independent
-substream spawned from (seed, batch index), so results are bitwise
-reproducible and independent of how batches might be distributed.
+substream spawned from (seed, batch index).  The batches of one ensemble run
+on a thread pool of min(batches, usable CPUs) workers and are combined in
+batch order, so results are bitwise reproducible and do not depend on the
+worker count.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import islice
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -83,6 +89,50 @@ def _batch_sizes(n_paths: int) -> list[int]:
     return [_BATCH_SIZE] * full + ([rem] if rem else [])
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:          # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _evolve_batch(batch_index: int, batch_n: int, drift, y0: float,
+                  n_steps: int, noise_scale: float, cfg: EnsembleConfig,
+                  bounds: tuple[float, float] | None, wanted: set[int]):
+    """Advance one batch on its own substream; returns (snapshots, alive)."""
+    rng = np.random.default_rng(
+        np.random.SeedSequence(entropy=cfg.seed, spawn_key=(batch_index,)))
+    y = np.full(batch_n, float(y0))
+    alive = np.ones(batch_n, dtype=bool)
+    step_drift = np.empty(batch_n)
+    noise = np.empty(batch_n)
+    snaps: dict[int, np.ndarray] = {}
+    if 0 in wanted:
+        snaps[0] = y.copy()
+    for step in range(1, n_steps + 1):
+        # y + f(y) dt + eps sqrt(dt) N, in place and in that order.
+        np.multiply(drift.drift(y), cfg.dt_sde, out=step_drift)
+        rng.standard_normal(out=noise)
+        noise *= noise_scale
+        y += step_drift
+        y += noise
+        if bounds is not None:
+            if cfg.reflect_at_bounds:
+                y = _reflect(y, bounds[0], bounds[1])
+            else:
+                # Dropped paths are NaN already, and NaN never escapes.
+                escaped = (y < bounds[0]) | (y > bounds[1])
+                if escaped.any():
+                    y[escaped] = np.nan
+                    alive &= ~escaped
+        if step in wanted:
+            snaps[step] = y.copy()
+    if not np.all(np.isfinite(y[alive])):
+        raise MonteCarloError(f"non-finite path values in batch {batch_index}")
+    return snaps, alive
+
+
 def _evolve_batches(drift, eps, y0: float, duration: float, cfg: EnsembleConfig,
                     bounds: tuple[float, float] | None,
                     snapshot_steps: Sequence[int]):
@@ -91,6 +141,10 @@ def _evolve_batches(drift, eps, y0: float, duration: float, cfg: EnsembleConfig,
     ``snapshot_steps`` are step indices into the Euler-Maruyama ladder; the
     final step must be included by the caller if wanted.  With reflection
     disabled and bounds given, escaped paths turn NaN and stay dropped.
+
+    Batches run on min(batches, usable CPUs) threads (numpy's draws and
+    ufuncs release the GIL) and are yielded in batch order, with at most one
+    batch per worker in flight; a failing batch raises when its turn comes.
     """
     eps = _as_noise(eps)
     n_steps = _snap_steps(duration, cfg.dt_sde)
@@ -99,35 +153,17 @@ def _evolve_batches(drift, eps, y0: float, duration: float, cfg: EnsembleConfig,
     noise_scale = eps.epsilon * math.sqrt(cfg.dt_sde)
     wanted = set(snapshot_steps)
 
-    for batch_index, batch_n in enumerate(_batch_sizes(cfg.n_paths)):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=cfg.seed, spawn_key=(batch_index,)))
-        y = np.full(batch_n, float(y0))
-        alive = np.ones(batch_n, dtype=bool)
-        step_drift = np.empty(batch_n)
-        noise = np.empty(batch_n)
-        snaps: dict[int, np.ndarray] = {}
-        if 0 in wanted:
-            snaps[0] = y.copy()
-        for step in range(1, n_steps + 1):
-            # y + f(y) dt + eps sqrt(dt) N, in place and in that order.
-            np.multiply(drift.drift(y), cfg.dt_sde, out=step_drift)
-            rng.standard_normal(out=noise)
-            noise *= noise_scale
-            y += step_drift
-            y += noise
-            if bounds is not None:
-                if cfg.reflect_at_bounds:
-                    y = _reflect(y, bounds[0], bounds[1])
-                else:
-                    escaped = (y < bounds[0]) | (y > bounds[1])
-                    alive &= ~escaped
-                    y = np.where(alive, y, np.nan)
-            if step in wanted:
-                snaps[step] = y.copy()
-        if not np.all(np.isfinite(y[alive])):
-            raise MonteCarloError(f"non-finite path values in batch {batch_index}")
-        yield snaps, alive
+    sizes = _batch_sizes(cfg.n_paths)
+    workers = min(len(sizes), _usable_cpus())
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = (pool.submit(_evolve_batch, batch_index, batch_n, drift, y0,
+                               n_steps, noise_scale, cfg, bounds, wanted)
+                   for batch_index, batch_n in enumerate(sizes))
+        in_flight = deque(islice(futures, workers))
+        while in_flight:
+            result = in_flight.popleft().result()
+            in_flight.extend(islice(futures, 1))
+            yield result
 
 
 def euler_maruyama_ensemble(drift, eps, y0: float, grid: SpatialGrid,
@@ -136,9 +172,10 @@ def euler_maruyama_ensemble(drift, eps, y0: float, grid: SpatialGrid,
                             ) -> HistogramSurface:
     """Ensemble of Euler-Maruyama paths histogrammed on the grid cells.
 
-    ``output_times`` must be nodes of ``times`` (default: the final time
-    only).  Paths start at ``y0`` at ``times.t_start`` and are reflected at
-    the grid bounds, or dropped on escape when reflection is off.
+    ``output_times`` must be nodes of ``times`` inside [t_start, t_end]
+    (default: the final time only).  Paths start at ``y0`` at
+    ``times.t_start`` and are reflected at the grid bounds, or dropped on
+    escape when reflection is off.
     """
     if not grid.contains(y0):
         raise GridError(f"y0={y0} outside the grid")
@@ -149,6 +186,9 @@ def euler_maruyama_ensemble(drift, eps, y0: float, grid: SpatialGrid,
         k = round((t - times.t_start) / times.dt)
         if abs(times.t_start + k * times.dt - t) > 1e-9:
             raise GridError(f"output time {t} is not a node of the time grid")
+        if not 0 <= k <= times.n_steps:
+            raise GridError(f"output time {t} outside "
+                            f"[{times.t_start}, {times.t_end}]")
 
     duration = times.t_end - times.t_start
     steps_of = {t: _snap_steps(t - times.t_start, cfg.dt_sde) if t > times.t_start

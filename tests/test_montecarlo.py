@@ -2,14 +2,18 @@
 slow cross-validation statistics against the density solver."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from thcbridge import montecarlo
 from thcbridge.fpe import GridError, SpatialGrid, TimeGrid, solve_forward
 from thcbridge.model import CessiReduced, ZeroDrift
 from thcbridge.montecarlo import (
     EnsembleConfig,
+    MonteCarloError,
     _reflect,
     estimate_hitting_probability,
     euler_maruyama_ensemble,
@@ -127,18 +131,94 @@ class TestEnsemble:
         final_mass = hist.densities[-1].sum() * narrow.spacing
         assert final_mass == pytest.approx(1.0 - hist.dropped_fraction, abs=1e-12)
 
+    def test_dropping_matches_per_step_mask(self):
+        # Reference: the mask-every-step stepper, batch b on substream b.
+        cfg = EnsembleConfig(n_paths=montecarlo._BATCH_SIZE + 500,
+                             dt_sde=1e-3, seed=12, reflect_at_bounds=False)
+        lo, hi = 0.3, 0.7
+        scale = 0.5 * math.sqrt(cfg.dt_sde)
+        ref = []
+        for b, n in enumerate((montecarlo._BATCH_SIZE, 500)):
+            rng = np.random.default_rng(
+                np.random.SeedSequence(entropy=cfg.seed, spawn_key=(b,)))
+            y = np.full(n, 0.5)
+            alive = np.ones(n, dtype=bool)
+            for _ in range(500):
+                y = (y + CESSI.drift(y) * cfg.dt_sde
+                     + rng.standard_normal(n) * scale)
+                alive &= ~((y < lo) | (y > hi))
+                y = np.where(alive, y, np.nan)
+            ref.append(y)
+        ref = np.concatenate(ref)
+        final = terminal_samples(CESSI, 0.5, 0.5, 0.5, cfg, bounds=(lo, hi))
+        assert 0 < np.isnan(ref).sum() < cfg.n_paths
+        assert np.array_equal(final, ref, equal_nan=True)
+
     def test_output_times_must_be_nodes(self):
         times = TimeGrid(0.0, 1.0, 100)
         cfg = EnsembleConfig(n_paths=100, dt_sde=1e-3, seed=0)
         with pytest.raises(GridError):
             euler_maruyama_ensemble(ZeroDrift(), 0.3, 0.0, GRID, times, cfg,
                                     output_times=[0.1234567])
+        coarse = TimeGrid(0.0, 1.0, 4)
+        for outside in ([-0.25, 1.0], [0.5, 1.25]):
+            with pytest.raises(GridError, match="outside"):
+                euler_maruyama_ensemble(ZeroDrift(), 0.3, 0.0, GRID, coarse,
+                                        cfg, output_times=outside)
 
     def test_start_outside_grid(self):
         times = TimeGrid(0.0, 1.0, 100)
         cfg = EnsembleConfig(n_paths=100, dt_sde=1e-3, seed=0)
         with pytest.raises(GridError):
             euler_maruyama_ensemble(ZeroDrift(), 0.3, 5.0, GRID, times, cfg)
+
+
+def _batch_results(bounds_grid):
+    """Every ensemble product over 45 001 paths: two full batches and a part."""
+    times = TimeGrid(0.0, 0.2, 4)
+    out = []
+    for reflect in (True, False):
+        cfg = EnsembleConfig(n_paths=45_001, dt_sde=1e-3, seed=13,
+                             reflect_at_bounds=reflect)
+        hist = euler_maruyama_ensemble(ZeroDrift(), 0.5, 0.0, bounds_grid,
+                                       times, cfg, output_times=[0.1, 0.2])
+        out += [hist.densities, hist.dropped_fraction,
+                terminal_samples(CESSI, 0.3, 0.0, 0.2, cfg,
+                                 bounds=(bounds_grid.y_min, bounds_grid.y_max)),
+                estimate_hitting_probability(CESSI, 0.3, 0.0, 0.0, 0.1, 0.2,
+                                             0.05, cfg, grid=bounds_grid)]
+    out.append(terminal_samples(CESSI, 0.3, 0.0, 0.2, cfg, bounds=None))
+    return out
+
+
+class TestBatchPool:
+    def test_results_do_not_depend_on_worker_count(self, monkeypatch):
+        narrow = SpatialGrid(-0.2, 0.2, 64)
+        runs = []
+        for workers in (1, 3):
+            monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: workers)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                runs.append(_batch_results(narrow))
+            finally:
+                sys.setswitchinterval(interval)
+        serial, pooled = runs
+        assert serial[1] == 0.0 and 0.0 < serial[5] < 1.0    # reflect, drop
+        for a, b in zip(serial, pooled):
+            assert np.array_equal(a, b, equal_nan=True)
+
+    def test_failure_names_first_batch_and_joins_workers(self, monkeypatch):
+        class Blowup:
+            def drift(self, y):
+                return np.full_like(y, np.inf)
+
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 3)
+        cfg = EnsembleConfig(n_paths=45_001, dt_sde=1e-3, seed=14)
+        before = threading.active_count()
+        with pytest.raises(MonteCarloError, match="batch 0$"):
+            terminal_samples(Blowup(), 0.3, 0.0, 0.01, cfg)
+        assert threading.active_count() == before
 
 
 class TestHitting:
