@@ -90,6 +90,8 @@ def _surface_diagnostics(manifest: _Manifest, name: str, surface) -> None:
     manifest.diagnose(f"{name}_clamped_nodes", surface.clamped_nodes)
     manifest.diagnose(f"{name}_clamp_violations", surface.clamp_violations)
     manifest.diagnose(f"{name}_min_pre_clamp", surface.min_pre_clamp)
+    if surface.max_mass_drift is not None:
+        manifest.diagnose(f"{name}_max_mass_drift", surface.max_mass_drift)
 
 
 def _load(args) -> RunConfig:

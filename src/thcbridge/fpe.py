@@ -6,8 +6,8 @@ g(y, t) = p(y3, T | y, t) from a terminal point target.  Both are solved on
 a fixed cell-centered grid with a conservative flux-form discretization,
 reflecting (zero-flux) boundaries and Crank-Nicolson time stepping.  The
 step matrices never change during a solve, so each scheme's tridiagonal
-matrix is LU-factored once (LAPACK ``dgttrf``) and every step is a
-triangular solve against those factors (``dgttrs``).
+matrix is LU-factored once (LAPACK ``dgttrf``) and every step is one
+in-place triangular solve against those factors (``dgttrs``).
 
 The backward operator is the exact transpose of the forward one, which makes
 the discrete pairing integral(g * p) dy constant in time (the discrete
@@ -141,6 +141,7 @@ class DensitySurface:
     clamped_nodes: int = 0          # stored values lifted from negative to 0
     clamp_violations: int = 0       # raw values below the -1e-12 tolerance
     min_pre_clamp: float = 0.0      # most negative raw value seen
+    max_mass_drift: float | None = None  # forward solves: max |spacing*sum - 1|
 
     def slice_at(self, t: float) -> np.ndarray:
         """Stored slice closest to time t."""
@@ -215,88 +216,86 @@ def _forward_operator(drift, eps: NoiseIntensity, grid: SpatialGrid):
     return lower, diag, upper
 
 
-def _step_matrices(lower, diag, upper, dt: float, implicit_weight: float):
-    """LHS and RHS of one theta-scheme step of size dt.
-
-    implicit_weight=0.5 is Crank-Nicolson, 1.0 is backward Euler.  Both
-    matrices are returned as (lower, diag, upper) diagonal triples.
-    """
-    wi = implicit_weight * dt
-    we = (1.0 - implicit_weight) * dt
-    lhs = (-wi * lower, 1.0 - wi * diag, -wi * upper)
-    rhs = (we * lower, 1.0 + we * diag, we * upper)
-    return lhs, rhs
-
-
-def _factor(lhs, scheme: str):
-    """LU factors of a tridiagonal LHS, in the argument order of dgttrs.
+def _factor(lower, diag, upper, shift: float, weight: float, scheme: str):
+    """LU factors of the step matrix shift*I - weight*L, in the argument
+    order of dgttrs.
 
     dgttrf reports an exactly zero pivot through ``info`` instead of
     raising, so a singular step matrix is turned into a SolverError here.
     """
-    *factors, info = dgttrf(*lhs)
+    *factors, info = dgttrf(-weight * lower, shift - weight * diag,
+                            -weight * upper)
     if info != 0:
         raise SolverError(f"singular {scheme} step matrix "
                           f"(zero pivot in row {info})")
     return factors
 
 
-def _apply_tridiag(rhs, v: np.ndarray) -> np.ndarray:
-    rhs_lower, rhs_diag, rhs_upper = rhs
-    out = rhs_diag * v
-    out[:-1] += rhs_upper * v[1:]
-    out[1:] += rhs_lower * v[:-1]
-    return out
-
-
 def _sweep(lower, diag, upper, init: np.ndarray, times: TimeGrid,
            rannacher_steps: int, check_mass: bool, grid: SpatialGrid):
-    """Run the theta scheme over all steps and return the raw slices.
+    """Run the theta scheme over all steps; return the raw slices and the
+    worst mass drift max |spacing * sum - 1|.
 
     The sweep always marches away from ``init`` over n_steps intervals, with
     the startup steps applied first; callers reverse the storage order for
-    backward problems.
+    backward problems.  Each step copies the previous slice into the next
+    row and solves it there in place.  With A = I - w dt L, a backward-Euler
+    step (w = 1) is v <- A^-1 v; a Crank-Nicolson step (w = 1/2) has the
+    explicit matrix 2I - A, so it is v <- (A/2)^-1 v - v = 2 A^-1 v - v.
+    The finite and mass checks run over the row sums after the march and
+    report the first failing step, a non-finite slice before mass drift.
     """
     n_steps = times.n_steps
     dt = times.dt
     n_start = min(rannacher_steps, n_steps)
-
-    be_lhs, be_rhs = _step_matrices(lower, diag, upper, dt, 1.0)
-    cn_lhs, cn_rhs = _step_matrices(lower, diag, upper, dt, 0.5)
-    be = _factor(be_lhs, "backward-Euler") if n_start > 0 else None
-    cn = _factor(cn_lhs, "Crank-Nicolson") if n_steps > n_start else None
+    be = (_factor(lower, diag, upper, 1.0, dt, "backward-Euler")
+          if n_start > 0 else None)
+    cn = (_factor(lower, diag, upper, 0.5, 0.25 * dt, "Crank-Nicolson")
+          if n_steps > n_start else None)
 
     raw = np.empty((n_steps + 1, grid.n_cells))
     raw[0] = init
-    v = init.copy()
-    for k in range(n_steps):
-        factors, rhs = (be, be_rhs) if k < n_start else (cn, cn_rhs)
-        v, _ = dgttrs(*factors, _apply_tridiag(rhs, v), overwrite_b=True)
-        raw[k + 1] = v
-        if not np.all(np.isfinite(v)):
-            raise SolverError(f"non-finite density at step {k + 1} "
-                              f"(t={times.t_start + (k + 1) * dt:g})")
+    # a diverging march runs on through inf and NaN without warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_start):
+            raw[k + 1] = raw[k]
+            dgttrs(*be, raw[k + 1], overwrite_b=True)
+        for k in range(n_start, n_steps):
+            raw[k + 1] = raw[k]
+            dgttrs(*cn, raw[k + 1], overwrite_b=True)
+            raw[k + 1] -= raw[k]
+
+        masses = grid.spacing * raw[1:].sum(axis=1)
+        drift = np.abs(masses - 1.0)
+        suspect = ~np.isfinite(masses)
         if check_mass:
-            m = grid.spacing * v.sum()
-            if abs(m - 1.0) > MASS_ABORT_TOLERANCE:
-                raise SolverError(f"mass drifted to {m:.6g} at step {k + 1}")
-    return raw
+            suspect |= drift > MASS_ABORT_TOLERANCE
+    for n in np.flatnonzero(suspect) + 1:
+        if not np.isfinite(raw[n]).all():
+            raise SolverError(f"non-finite density at step {n} "
+                              f"(t={times.t_start + n * dt:g})")
+        if check_mass and drift[n - 1] > MASS_ABORT_TOLERANCE:
+            raise SolverError(f"mass drifted to {masses[n - 1]:.6g} at step {n}")
+    return raw, float(drift.max())
 
 
 CLAMP_TOLERANCE = -1e-12
 
 
 def _package(raw: np.ndarray, grid: SpatialGrid, times: TimeGrid, kind: str,
-             source: float) -> DensitySurface:
+             source: float, max_mass_drift: float | None = None
+             ) -> DensitySurface:
     min_raw = float(raw.min())
-    negatives = int((raw < 0.0).sum())
-    violations = int((raw < CLAMP_TOLERANCE).sum())
+    negatives = int(np.count_nonzero(raw < 0.0)) if min_raw < 0.0 else 0
+    violations = (int(np.count_nonzero(raw < CLAMP_TOLERANCE))
+                  if min_raw < CLAMP_TOLERANCE else 0)
     values = np.maximum(raw, 0.0)
     values.setflags(write=False)
     return DensitySurface(grid=grid, times=times, values=values, kind=kind,
                           source=source, clamped_nodes=negatives,
                           clamp_violations=violations,
-                          min_pre_clamp=min(min_raw, 0.0))
+                          min_pre_clamp=min(min_raw, 0.0),
+                          max_mass_drift=max_mass_drift)
 
 
 def solve_forward(drift, eps, grid: SpatialGrid, times: TimeGrid, y1: float,
@@ -312,9 +311,9 @@ def solve_forward(drift, eps, grid: SpatialGrid, times: TimeGrid, y1: float,
     eps = _as_noise(eps)
     lower, diag, upper = _forward_operator(drift, eps, grid)
     init = delta_init(grid, y1)
-    raw = _sweep(lower, diag, upper, init, times, rannacher_steps,
-                 check_mass=True, grid=grid)
-    return _package(raw, grid, times, "forward", y1)
+    raw, max_mass_drift = _sweep(lower, diag, upper, init, times,
+                                 rannacher_steps, check_mass=True, grid=grid)
+    return _package(raw, grid, times, "forward", y1, max_mass_drift)
 
 
 def solve_backward(drift, eps, grid: SpatialGrid, times: TimeGrid, y3: float,
@@ -333,8 +332,8 @@ def solve_backward(drift, eps, grid: SpatialGrid, times: TimeGrid, y3: float,
     init = delta_init(grid, y3)
     # Transpose swaps the off-diagonals; marching "forward" from the terminal
     # condition and flipping the storage realizes the backward-in-time sweep.
-    raw = _sweep(upper, diag, lower, init, times, rannacher_steps,
-                 check_mass=False, grid=grid)
+    raw, _ = _sweep(upper, diag, lower, init, times, rannacher_steps,
+                    check_mass=False, grid=grid)
     return _package(raw[::-1], grid, times, "backward", y3)
 
 
@@ -362,7 +361,8 @@ def solve_endpoint_conditioned(drift, eps, grid: SpatialGrid, times: TimeGrid,
                           kind="conditioned", source=y_end,
                           clamped_nodes=reversed_.clamped_nodes,
                           clamp_violations=reversed_.clamp_violations,
-                          min_pre_clamp=reversed_.min_pre_clamp)
+                          min_pre_clamp=reversed_.min_pre_clamp,
+                          max_mass_drift=reversed_.max_mass_drift)
 
 
 def stationary_density(drift, eps, grid: SpatialGrid) -> np.ndarray:

@@ -176,6 +176,8 @@ class TestSurfaceDumps:
         assert meta["shape"] == [51, 100]
         masses = block.sum(axis=1) * (meta["y_max"] - meta["y_min"]) / meta["n_cells"]
         assert np.abs(masses - 1.0).max() < 1e-6
+        drift = read_manifest(out)["diagnostics"]["forward_max_mass_drift"]
+        assert 0.0 <= drift <= 1e-6
 
     def test_backward_dump(self, tmp_path):
         out = tmp_path / "bw"
@@ -186,6 +188,8 @@ class TestSurfaceDumps:
         rows = read_csv(out / "backward.csv")
         assert len(rows) == 51 * 100
         assert "g" in rows[0]
+        # g is not a probability density, so it has no mass to drift
+        assert "backward_max_mass_drift" not in read_manifest(out)["diagnostics"]
 
 
 class TestSweepCommand:

@@ -2,6 +2,7 @@
 relaxation, time reversal, conservation and positivity."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -165,6 +166,7 @@ class TestForwardSolver:
         surface = solve_forward(CESSI, 0.25, grid, times, 0.2402)
         masses = surface.values.sum(axis=1) * grid.spacing
         assert np.abs(masses - 1.0).max() <= 1e-6
+        assert 0.0 <= surface.max_mass_drift <= 1e-6
 
     def test_positivity_within_tolerance(self):
         grid = SpatialGrid(-1.0, 2.5, 800)
@@ -249,6 +251,7 @@ class TestBackwardSolver:
         backward = solve_backward(CESSI, 0.2, grid, times, 1.0687)
         assert backward.min_pre_clamp >= -1e-12
         assert backward.values.min() >= 0.0
+        assert backward.max_mass_drift is None
 
     def test_constants_invariant_under_backward_operator(self):
         # homogeneous Neumann closure: a constant terminal profile would stay
@@ -267,6 +270,7 @@ class TestEndpointConditioned:
         conditioned = solve_endpoint_conditioned(CESSI, 0.25, grid, times, 1.0687)
         forward = solve_forward(CESSI, 0.25, grid, times, 1.0687)
         assert np.array_equal(conditioned.values, forward.values[::-1])
+        assert conditioned.max_mass_drift == forward.max_mass_drift
         assert conditioned.kind == "conditioned"
         assert conditioned.source == 1.0687
 
@@ -286,8 +290,8 @@ class TestEndpointConditioned:
 
 def banded_reference(lower, diag, upper, init, times):
     """Theta-scheme sweep that re-factors its matrix with solve_banded at
-    every step: the stepper the factor-once solver must reproduce bit for
-    bit."""
+    every step and forms the right-hand side with the explicit matrix:
+    the stepper the factor-once solver must reproduce."""
     raw = [init]
     v = init.copy()
     for k in range(times.n_steps):
@@ -311,13 +315,28 @@ class TestSolverBits:
     GRID = SpatialGrid(-1.0, 2.5, 96)
     TIMES = TimeGrid(0.0, 2.0, 80)
 
+    @staticmethod
+    def assert_matches(marched, ref):
+        """Slices in marching order against the unclamped reference.
+
+        A backward-Euler step solves against v itself, so the startup
+        slices are bit-identical.  A Crank-Nicolson step is 2 A^-1 v - v
+        instead of A^-1 (2I - A) v, which rounds differently: those slices
+        must agree to 1e-13 of their maximum (the largest seen is 3.7e-15).
+        """
+        ref = np.maximum(ref, 0.0)
+        n_be = RANNACHER_STEPS + 1
+        assert np.array_equal(marched[:n_be], ref[:n_be])
+        error = np.abs(marched[n_be:] - ref[n_be:]).max(axis=1)
+        assert np.all(error <= 1e-13 * ref[n_be:].max(axis=1))
+
     def test_forward_matches_banded_reference(self):
         lower, diag, upper = _forward_operator(CESSI, NoiseIntensity(0.25),
                                                self.GRID)
         ref = banded_reference(lower, diag, upper,
                                delta_init(self.GRID, 0.2402), self.TIMES)
         surface = solve_forward(CESSI, 0.25, self.GRID, self.TIMES, 0.2402)
-        assert np.array_equal(surface.values, np.maximum(ref, 0.0))
+        self.assert_matches(surface.values, ref)
 
     def test_backward_matches_banded_reference(self):
         lower, diag, upper = _forward_operator(CESSI, NoiseIntensity(0.25),
@@ -325,7 +344,7 @@ class TestSolverBits:
         ref = banded_reference(upper, diag, lower,
                                delta_init(self.GRID, 1.0687), self.TIMES)
         surface = solve_backward(CESSI, 0.25, self.GRID, self.TIMES, 1.0687)
-        assert np.array_equal(surface.values, np.maximum(ref[::-1], 0.0))
+        self.assert_matches(surface.values[::-1], ref)
 
 
 class TestSolverGuards:
@@ -357,6 +376,81 @@ class TestSolverGuards:
         with pytest.raises(SolverError, match=f"singular {scheme}"):
             _sweep(off, diag, off, delta_init(grid, 0.0), times,
                    rannacher_steps, check_mass=False, grid=grid)
+
+
+class TestSolverDivergence:
+    """Hand-made operators that fail at a known step.  Each march runs
+    under warnings-as-errors: a diverging solve raises SolverError and no
+    floating-point warning."""
+
+    # dt = 1: all backward-Euler steps, or all Crank-Nicolson steps
+    TIMES = TimeGrid(0.0, 32.0, 32)
+    SCHEMES = pytest.mark.parametrize("rannacher_steps", [RANNACHER_STEPS, 0],
+                                      ids=["backward-Euler", "Crank-Nicolson"])
+
+    @classmethod
+    def march(cls, lower, diag, upper, init, grid, rannacher_steps,
+              check_mass):
+        """Operator given by the step matrix's diagonals: with implicit
+        weight w and dt = 1, A = I - w L, so L = (I - A) / w."""
+        w = 1.0 if rannacher_steps else 0.5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _sweep(-lower / w, (1.0 - diag) / w, -upper / w, init, cls.TIMES,
+                   rannacher_steps, check_mass=check_mass, grid=grid)
+
+    @SCHEMES
+    @pytest.mark.parametrize("check_mass", [True, False])
+    def test_overflow_reported_at_its_step(self, rannacher_steps, check_mass):
+        # A = diag(2^-52, 1, ..., 1): cell 0 grows by 2^52 (backward Euler)
+        # or 2^53 - 1 (CN) per step from 1e200, 8e293 / 5e295 at step 6,
+        # and overflows at step 7.  On a grid of spacing 1e-300 its share
+        # of the mass stays below 1e-4 up to step 6, so with check_mass
+        # step 7 fails both checks and the non-finite one is reported
+        grid = SpatialGrid(0.0, 64e-300, 64)
+        init = np.zeros(grid.n_cells)
+        init[0] = 1e200
+        init[40] = 1.0 / grid.spacing
+        diag = np.ones(grid.n_cells)
+        diag[0] = 2.0**-52
+        off = np.zeros(grid.n_cells - 1)
+        with pytest.raises(SolverError) as info:
+            self.march(off, diag, off, init, grid, rannacher_steps, check_mass)
+        assert str(info.value) == "non-finite density at step 7 (t=7)"
+
+    @SCHEMES
+    def test_opposite_overflows_raise_no_warning(self, rannacher_steps):
+        # A[1, 1] = -2^-52 and A[0, 1] = 1: cells 1 and 0 grow with
+        # opposite signs by about 2^52 or 2^53 per step from 1 and overflow
+        # to -inf and +inf together at step 20; the march runs on past it,
+        # so the row sums meet inf - inf
+        grid = SpatialGrid(-1.0, 1.0, 64)
+        init = delta_init(grid, 0.0)
+        init[1] = 1.0
+        diag = np.ones(grid.n_cells)
+        diag[1] = -(2.0**-52)
+        upper = np.zeros(grid.n_cells - 1)
+        upper[0] = 1.0
+        lower = np.zeros(grid.n_cells - 1)
+        with pytest.raises(SolverError) as info:
+            self.march(lower, diag, upper, init, grid, rannacher_steps, False)
+        assert str(info.value) == "non-finite density at step 20 (t=20)"
+
+    @SCHEMES
+    def test_mass_drift_reported_at_its_step(self, rannacher_steps):
+        # A = (1 - 2^-15) I: backward Euler scales the mass by about
+        # 1 + 2^-15 per step, Crank-Nicolson (explicit part (1 + 2^-15) I)
+        # by about 1 + 2^-14: the mass first reads 1.00012 at step 4 or 2
+        grid = SpatialGrid(-1.0, 1.0, 64)
+        diag = np.full(grid.n_cells, 1.0 - 2.0**-15)
+        off = np.zeros(grid.n_cells - 1)
+        init = delta_init(grid, 0.0)
+        step = 4 if rannacher_steps else 2
+        with pytest.raises(SolverError) as info:
+            self.march(off, diag, off, init, grid, rannacher_steps, True)
+        assert str(info.value) == f"mass drifted to 1.00012 at step {step}"
+        # without the mass check (backward solves) the march completes
+        self.march(off, diag, off, init, grid, rannacher_steps, False)
 
 
 class TestHittingProbability:
