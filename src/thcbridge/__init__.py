@@ -23,13 +23,10 @@ from .model import (
     drift_2d,
     drift_dimensional,
     drift_from_name,
-    drift_reduced,
-    drift_reduced_derivative,
     exchange_function,
     find_equilibria,
     integrate_deterministic_2d,
     nondimensionalize,
-    potential,
 )
 from .fpe import (
     DensitySurface,

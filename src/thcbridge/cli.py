@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -25,7 +26,7 @@ from .bridge import (
 )
 from .config import ConfigError, RunConfig, load_config
 from .fpe import GridError, RANNACHER_STEPS, SolverError, solve_backward, solve_forward
-from .model import ModelError, find_equilibria
+from .model import DRIFTS, ModelError, find_equilibria
 from .montecarlo import (
     RNG_ALGORITHM,
     EnsembleConfig,
@@ -63,9 +64,7 @@ class _Manifest:
     def set_config(self, config: RunConfig) -> None:
         self.data["config"] = config.as_dict()
         if config.drift == "cessi":
-            nd = config.nondimensional()
-            self.data["resolved_model"] = {"f_bar": nd.f_bar, "alpha": nd.alpha,
-                                           "mu2": nd.mu2}
+            self.data["resolved_model"] = asdict(config.nondimensional())
 
     @contextlib.contextmanager
     def time_stage(self, name: str):
@@ -114,6 +113,9 @@ def _load(args) -> RunConfig:
 
 
 def cmd_equilibria(config: RunConfig, manifest: _Manifest, args) -> int:
+    if config.drift != "cessi":
+        raise ConfigError("drift", "equilibria needs the cessi drift, "
+                          f"not {config.drift!r}")
     nd = config.nondimensional()
     with manifest.time_stage("equilibria"):
         equilibria = find_equilibria(nd)
@@ -274,7 +276,7 @@ def _build_parser() -> argparse.ArgumentParser:
     model.add_argument("--eps", type=float, help="noise intensity override")
     model.add_argument("--start", type=float, help="start state override")
     model.add_argument("--end", type=float, help="end state override")
-    model.add_argument("--drift", choices=("cessi", "double-well", "ou", "zero"),
+    model.add_argument("--drift", choices=tuple(DRIFTS),
                        help="drift model override")
 
     parser = argparse.ArgumentParser(

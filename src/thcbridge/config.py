@@ -1,29 +1,37 @@
 """Run configuration: defaults, JSON files and --param overrides.
 
-The configuration is a flat key set.  Nondimensional parameters (f_bar,
-mu2) are the default route; supplying dimensional keys plus a freshwater
-flux derives them instead, and mixing both makes f_bar win with a warning.
+The configuration is a flat key set: one :class:`RunConfig` field per key,
+each raw value coerced to its field's annotated type (``None`` only where
+the field is ``| None``).  Nondimensional parameters (f_bar, mu2) are the
+default route; supplying dimensional keys plus a freshwater flux derives
+them instead, and mixing both makes f_bar win with a warning.  Unset model
+keys take the defaults of :mod:`thcbridge.model`.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+import typing
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .fpe import SpatialGrid, TimeGrid
 from .model import (
+    DRIFTS,
+    CessiReduced,
     DimensionalParams,
     DriftModel,
     NondimensionalParams,
-    drift_from_name,
     nondimensionalize,
 )
 
 DEFAULT_EPS_LIST = tuple(round(0.18 + 0.01 * i, 2) for i in range(13))
 
-# Dimensional keys: config name -> DimensionalParams field and unit scale.
+# Dimensional keys: config name -> DimensionalParams.from_units argument.
 _DIMENSIONAL_KEYS = {
+    "t_d_years": "t_d_years",
+    "t_r_days": "t_r_days",
+    "t_a_years": "t_a_years",
     "t0": "reference_temperature",
     "s0": "reference_salinity",
     "rho0": "reference_density",
@@ -35,6 +43,9 @@ _DIMENSIONAL_KEYS = {
     "v": "control_volume",
     "f": "freshwater_flux",
 }
+
+# Constructor argument of the non-Cessi drifts -> the config key that sets it.
+_DRIFT_KEYS = {"a": "drift_a", "b": "drift_b", "rate": "drift_rate"}
 
 
 class ConfigError(ValueError):
@@ -50,7 +61,7 @@ class RunConfig:
     """Fully resolved run configuration, one flat key set for all commands."""
 
     # model (nondimensional route; None means "not specified").  With no
-    # dimensional keys, unset f_bar/mu2 fall back to 1.1 and 6.2.
+    # dimensional keys, unset f_bar/mu2 take NondimensionalParams' defaults.
     f_bar: float | None = None
     mu2: float | None = None
     alpha: float = 3199.59
@@ -107,51 +118,36 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError("n_steps", str(exc)) from exc
 
-    def dimensional_keys_given(self) -> bool:
-        return any(getattr(self, k) is not None
-                   for k in ("t_d_years", "t_r_days", "t_a_years", *_DIMENSIONAL_KEYS))
-
     def nondimensional(self) -> NondimensionalParams:
         """Resolve (f_bar, alpha, mu2), deriving from dimensional keys if given."""
-        if self.dimensional_keys_given():
-            kwargs = {}
-            for key, name in _DIMENSIONAL_KEYS.items():
-                value = getattr(self, key)
-                if value is not None:
-                    kwargs[name] = value
+        dimensional = {arg: getattr(self, key)
+                       for key, arg in _DIMENSIONAL_KEYS.items()
+                       if getattr(self, key) is not None}
+        if dimensional:
             try:
-                params = DimensionalParams.from_units(
-                    t_d_years=self.t_d_years if self.t_d_years is not None else 219.0,
-                    t_r_days=self.t_r_days if self.t_r_days is not None else 25.0,
-                    t_a_years=self.t_a_years if self.t_a_years is not None else 35.0,
-                    **kwargs)
+                params = DimensionalParams.from_units(**dimensional)
                 nd = nondimensionalize(params, f_bar=self.f_bar)
             except ValueError as exc:
                 raise ConfigError("f", str(exc)) from exc
-            if self.mu2 is not None:
-                nd = NondimensionalParams(f_bar=nd.f_bar, alpha=nd.alpha,
-                                          mu2=self.mu2)
-            return nd
+            return nd if self.mu2 is None else replace(nd, mu2=self.mu2)
+        given = {key: getattr(self, key) for key in ("f_bar", "mu2")
+                 if getattr(self, key) is not None}
         try:
-            return NondimensionalParams(
-                f_bar=self.f_bar if self.f_bar is not None else 1.1,
-                alpha=self.alpha,
-                mu2=self.mu2 if self.mu2 is not None else 6.2)
+            return NondimensionalParams(alpha=self.alpha, **given)
         except ValueError as exc:
             raise ConfigError("mu2", str(exc)) from exc
 
     def drift_model(self) -> DriftModel:
-        nd = self.nondimensional() if self.drift == "cessi" else None
-        try:
-            if self.drift == "cessi":
-                return drift_from_name("cessi", f_bar=nd.f_bar, mu2=nd.mu2)
-            if self.drift == "double-well":
-                return drift_from_name("double-well", a=self.drift_a, b=self.drift_b)
-            if self.drift == "ou":
-                return drift_from_name("ou", rate=self.drift_rate)
-            return drift_from_name(self.drift)
-        except ValueError as exc:
-            raise ConfigError("drift", str(exc)) from exc
+        """The selected drift; Cessi takes the resolved (f_bar, mu2)."""
+        cls = DRIFTS.get(self.drift)
+        if cls is None:
+            raise ConfigError("drift", f"unknown drift {self.drift!r}; "
+                              f"expected one of {sorted(DRIFTS)}")
+        if cls is CessiReduced:
+            nd = self.nondimensional()
+            return CessiReduced(nd.f_bar, nd.mu2)
+        return cls(**{f_.name: getattr(self, _DRIFT_KEYS[f_.name])
+                      for f_ in fields(cls)})
 
     def validated(self) -> "RunConfig":
         """Cross-field checks shared by every command."""
@@ -175,8 +171,7 @@ class RunConfig:
             raise ConfigError("dt_sde", "must be positive")
         grid = self.spatial_grid()
         self.time_grid()
-        if self.drift == "cessi":
-            self.nondimensional()
+        self.drift_model()
         for key, y in (("y_start", self.y_start), ("y_end", self.y_end)):
             if not grid.contains(y):
                 raise ConfigError(key, f"{y} outside the grid "
@@ -193,18 +188,19 @@ class RunConfig:
         return out
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
-_BOOL_KEYS = {"reflect_at_bounds"}
-_INT_KEYS = {"n_cells", "n_steps", "n_paths", "seed", "dump_every"}
-_STR_KEYS = {"drift", "out_dir"}
-_LIST_KEYS = {"eps_list"}
+_FIELD_TYPES = typing.get_type_hints(RunConfig)
 
 
 def _coerce(key: str, value) -> object:
-    """Coerce a raw JSON/CLI value to the config field's type."""
+    """Coerce a raw JSON/CLI value to the type its RunConfig field is annotated with."""
     if key not in _FIELD_TYPES:
         raise ConfigError(key, "unknown configuration key")
-    if key in _LIST_KEYS:
+    kind = _FIELD_TYPES[key]
+    if value is None:
+        if type(None) in typing.get_args(kind):    # the `float | None` fields
+            return None
+        raise ConfigError(key, "must not be null")
+    if typing.get_origin(kind) is tuple:
         if isinstance(value, str):
             parts = [p for p in value.split(",") if p.strip()]
         elif isinstance(value, (list, tuple)):
@@ -215,26 +211,24 @@ def _coerce(key: str, value) -> object:
             return tuple(float(p) for p in parts)
         except (TypeError, ValueError):
             raise ConfigError(key, f"not a list of numbers: {value!r}") from None
-    if key in _BOOL_KEYS:
+    if kind is bool:
         if isinstance(value, bool):
             return value
         if isinstance(value, str) and value.lower() in ("true", "false", "1", "0"):
             return value.lower() in ("true", "1")
         raise ConfigError(key, f"expected a boolean, got {value!r}")
-    if key in _STR_KEYS:
+    if kind is str:
         return str(value)
-    if value is None:
-        return None
     try:
-        if key in _INT_KEYS:
+        if kind is int:
             as_float = float(value)
             if as_float != int(as_float):
                 raise ValueError
             return int(as_float)
         return float(value)
     except (TypeError, ValueError):
-        kind = "an integer" if key in _INT_KEYS else "a number"
-        raise ConfigError(key, f"expected {kind}, got {value!r}") from None
+        expected = "an integer" if kind is int else "a number"
+        raise ConfigError(key, f"expected {expected}, got {value!r}") from None
 
 
 def parse_param(text: str) -> tuple[str, object]:

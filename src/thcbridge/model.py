@@ -212,82 +212,24 @@ def drift_2d(state: BoxState2D, nd: NondimensionalParams) -> tuple[float, float]
     return dx, dy
 
 
-def drift_reduced(y, nd: NondimensionalParams):
-    """Reduced salinity drift f(y) = f_bar - y(1 + mu2 (1-y)^2).
-
-    Accepts scalars or arrays.
-    """
-    return nd.f_bar - y * (1.0 + nd.mu2 * (1.0 - y) ** 2)
-
-
-def drift_reduced_derivative(y, nd: NondimensionalParams):
-    """Analytic f'(y) = -1 - mu2 (1-y)(1-3y)."""
-    return -1.0 - nd.mu2 * (1.0 - y) * (1.0 - 3.0 * y)
-
-
-def potential(y, nd: NondimensionalParams):
-    """Quartic potential V(y) = -integral of the reduced drift, with V(0) = 0."""
-    return (-nd.f_bar * y
-            + 0.5 * (1.0 + nd.mu2) * y**2
-            - (2.0 * nd.mu2 / 3.0) * y**3
-            + 0.25 * nd.mu2 * y**4)
-
-
 def find_equilibria(nd: NondimensionalParams,
-                    bracket: tuple[float, float] = DEFAULT_EQUILIBRIUM_BRACKET,
-                    n_scan: int = 2001) -> list[Equilibrium]:
+                    bracket: tuple[float, float] = DEFAULT_EQUILIBRIUM_BRACKET
+                    ) -> list[Equilibrium]:
     """All roots of the reduced drift inside ``bracket``, sorted ascending.
 
-    Roots are located by a sign-change scan followed by bisection and a
-    Newton polish with the analytic derivative.  Stability follows the sign
-    of f'(y); a vanishing derivative is classified unstable with a warning.
-    An empty list (monostable regime outside the bracket, or no sign change)
-    is a valid result.
+    The reduced drift is the cubic -mu2 y^3 + 2 mu2 y^2 - (1 + mu2) y + f_bar
+    (:meth:`CessiReduced.coefficients`), so its roots are the real roots of
+    that polynomial, in closed form from :func:`numpy.roots`.  Roots closer
+    than 1e-8 are merged.  Stability follows the sign of the cubic's
+    derivative f'(y); a vanishing derivative is classified unstable with a
+    warning.  An empty list (no root inside the bracket) is a valid result.
     """
     lo, hi = bracket
     if not hi > lo:
         raise ModelError(f"bracket must have positive width, got {bracket!r}")
-    ys = np.linspace(lo, hi, n_scan)
-    fs = drift_reduced(ys, nd)
-
-    roots: list[float] = []
-
-    def polish(y0: float) -> float:
-        y = y0
-        for _ in range(60):
-            fy = drift_reduced(y, nd)
-            if abs(fy) < 1e-14:
-                break
-            dfy = drift_reduced_derivative(y, nd)
-            if dfy == 0.0:
-                break
-            step = fy / dfy
-            y -= step
-            if abs(step) < 1e-13:
-                break
-        return y
-
-    for i in range(n_scan - 1):
-        f0, f1 = fs[i], fs[i + 1]
-        if f0 == 0.0:
-            roots.append(float(ys[i]))
-            continue
-        if f0 * f1 < 0.0:
-            a, b = float(ys[i]), float(ys[i + 1])
-            fa = f0
-            for _ in range(80):
-                mid = 0.5 * (a + b)
-                fm = drift_reduced(mid, nd)
-                if fm == 0.0 or (b - a) < 1e-13:
-                    a = b = mid
-                    break
-                if fa * fm < 0.0:
-                    b = mid
-                else:
-                    a, fa = mid, fm
-            roots.append(polish(0.5 * (a + b)))
-    if fs[-1] == 0.0:
-        roots.append(float(ys[-1]))
+    cubic = CessiReduced(nd.f_bar, nd.mu2).coefficients()
+    roots = [float(r.real) for r in np.roots(cubic)
+             if r.imag == 0.0 and lo <= r.real <= hi]
 
     deduped: list[float] = []
     for r in sorted(roots):
@@ -296,11 +238,11 @@ def find_equilibria(nd: NondimensionalParams,
 
     out: list[Equilibrium] = []
     for r in deduped:
-        d = float(drift_reduced_derivative(r, nd))
+        d = float(np.polyval(np.polyder(cubic), r))
         if d == 0.0:
             warnings.warn(f"degenerate equilibrium at y={r}: f'(y)=0, classifying "
                           "as unstable", stacklevel=2)
-        out.append(Equilibrium(y=float(r), derivative=d,
+        out.append(Equilibrium(y=r, derivative=d,
                                stability="stable" if d < 0.0 else "unstable"))
     return out
 
@@ -316,9 +258,7 @@ def integrate_deterministic_2d(nd: NondimensionalParams, initial: BoxState2D,
         raise ModelError("step and horizon must be positive")
 
     def rhs(_t, state):
-        coupling = 1.0 + nd.mu2 * (state[0] - state[1]) ** 2
-        return (-nd.alpha * (state[0] - 1.0) - state[0] * coupling,
-                nd.f_bar - state[1] * coupling)
+        return drift_2d(BoxState2D(state[0], state[1]), nd)
 
     n_out = max(2, int(round(horizon / step)) + 1)
     times = np.linspace(0.0, horizon, n_out)
@@ -344,6 +284,10 @@ class CessiReduced:
     def potential(self, y):
         return (-self.f_bar * y + 0.5 * (1.0 + self.mu2) * y**2
                 - (2.0 * self.mu2 / 3.0) * y**3 + 0.25 * self.mu2 * y**4)
+
+    def coefficients(self) -> np.ndarray:
+        """The drift as a cubic in y, highest power first (numpy.roots order)."""
+        return np.array([-self.mu2, 2.0 * self.mu2, -(1.0 + self.mu2), self.f_bar])
 
     def describe(self) -> str:
         return f"cessi(f_bar={self.f_bar:g}, mu2={self.mu2:g})"
@@ -398,7 +342,9 @@ class ZeroDrift:
 
 DriftModel = Union[CessiReduced, DoubleWell, LinearOU, ZeroDrift]
 
-_DRIFT_NAMES = {
+# The one table of drift names: the CLI's --drift choices and the config's
+# ``drift`` key both read it.
+DRIFTS = {
     "cessi": CessiReduced,
     "double-well": DoubleWell,
     "ou": LinearOU,
@@ -407,10 +353,10 @@ _DRIFT_NAMES = {
 
 
 def drift_from_name(name: str, **params) -> DriftModel:
-    """Build a drift model from its CLI name (cessi, double-well, ou, zero)."""
+    """Build a drift model from its name in :data:`DRIFTS`."""
     try:
-        cls = _DRIFT_NAMES[name]
+        cls = DRIFTS[name]
     except KeyError:
         raise ModelError(f"unknown drift {name!r}; expected one of "
-                         f"{sorted(_DRIFT_NAMES)}") from None
+                         f"{sorted(DRIFTS)}") from None
     return cls(**params)

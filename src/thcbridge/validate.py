@@ -220,12 +220,11 @@ def check_mc_hitting(config: RunConfig) -> CheckResult:
     grid = config.spatial_grid()
     drift = config.drift_model()
     eps = 0.25
-    nd = config.nondimensional() if config.drift == "cessi" else None
-    if nd is not None:
-        equilibria = find_equilibria(nd)
-        start = equilibria[1].y if len(equilibria) == 3 else config.y_start
-    else:
-        start = config.y_start
+    start = config.y_start
+    if config.drift == "cessi":
+        equilibria = find_equilibria(config.nondimensional())
+        if len(equilibria) == 3:
+            start = equilibria[1].y
     t_mid = 0.5 * config.t_end
     window = 0.1
     cfg = EnsembleConfig(n_paths=config.n_paths, dt_sde=config.dt_sde,

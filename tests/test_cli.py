@@ -66,6 +66,16 @@ class TestEquilibria:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["error"]["stage"] == "config"
 
+    def test_non_cessi_drift_exit_2(self, tmp_path, capsys):
+        for drift in ("zero", "pendulum"):
+            out = tmp_path / drift
+            assert main(["equilibria", "--param", f"drift={drift}",
+                         "--out", str(out)]) == 2
+            assert "'drift'" in capsys.readouterr().err
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert "drift" in manifest["error"]["message"]
+            assert not (out / "equilibria.csv").exists()
+
 
 class TestBridgePath:
     def test_zero_drift_linear_path(self, tmp_path):
@@ -252,6 +262,18 @@ class TestFailureModes:
         assert manifest["error"]["stage"] == "forward"
         assert "forward" in manifest["timings_seconds"]
 
+    @pytest.mark.parametrize("key", ["epsilon", "jump_threshold", "y_min"])
+    def test_null_required_key_exit_2_with_manifest(self, tmp_path, capsys, key):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({key: None}))
+        out = tmp_path / "null"
+        assert main(["bridge-path", "--config", str(path),
+                     "--out", str(out)]) == 2
+        assert repr(key) in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["error"]["stage"] == "config"
+        assert repr(key) in manifest["error"]["message"]
+
     def test_unwritable_out_dir_exit_2(self):
         assert main(["equilibria", "--out", "/dev/null/nope"]) == 2
 
@@ -275,6 +297,10 @@ class TestValidateCommand:
         assert [c["name"] for c in report["checks"]] == ["mass"]
         assert report["all_passed"] is True
         assert "PASS mass" in capsys.readouterr().out
+
+    def test_unknown_drift_is_config_error(self, tmp_path):
+        assert main(["validate", "--checks", "heat-kernel", "--param",
+                     "drift=pendulum", "--out", str(tmp_path / "vd")]) == 2
 
     def test_unknown_check_is_config_error(self, tmp_path):
         code = main(["validate", "--checks", "nonsense",

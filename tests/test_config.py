@@ -95,6 +95,19 @@ class TestValidation:
             with pytest.raises(ConfigError, match=key):
                 load_config(overrides=[override])
 
+    @pytest.mark.parametrize("key", ["epsilon", "jump_threshold", "y_min",
+                                     "drift", "n_cells", "reflect_at_bounds"])
+    def test_null_rejected_on_required_key(self, tmp_path, key):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({key: None}))
+        with pytest.raises(ConfigError, match=f"'{key}'.*null"):
+            load_config(path)
+
+    def test_null_accepted_on_optional_key(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"f_bar": None, "mu2": None}))
+        assert load_config(path).nondimensional().f_bar == 1.1
+
     def test_empty_eps_list_rejected(self):
         with pytest.raises(ConfigError, match="eps_list"):
             load_config(eps_list=[])

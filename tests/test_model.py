@@ -20,16 +20,14 @@ from thcbridge.model import (
     drift_2d,
     drift_dimensional,
     drift_from_name,
-    drift_reduced,
-    drift_reduced_derivative,
     exchange_function,
     find_equilibria,
     integrate_deterministic_2d,
     nondimensionalize,
-    potential,
 )
 
 ND = NondimensionalParams(f_bar=1.1, alpha=3199.59, mu2=6.2)
+CESSI = CessiReduced(ND.f_bar, ND.mu2)
 
 # frozen oracle: numpy.roots on mu2*y^3 - 2*mu2*y^2 + (1+mu2)*y - f_bar
 ROOTS = (0.240229208426, 0.691056554214, 1.068714237360)
@@ -182,46 +180,48 @@ class TestReducedDynamics:
         assert abs(dy) < 5e-4
 
     def test_drift_reduced_values(self):
-        assert abs(drift_reduced(0.2402, ND)) < 5e-4
-        assert drift_reduced(0.0, ND) == ND.f_bar
-        assert drift_reduced(1.0, ND) == pytest.approx(ND.f_bar - 1.0)
+        assert abs(CESSI.drift(0.2402)) < 5e-4
+        assert CESSI.drift(0.0) == ND.f_bar
+        assert CESSI.drift(1.0) == pytest.approx(ND.f_bar - 1.0)
 
     @settings(deadline=None, max_examples=100)
     @given(st.floats(min_value=-1.0, max_value=2.5))
     def test_reduced_equals_2d_y_component_at_x1(self, y):
         _, dy = drift_2d(BoxState2D(1.0, y), ND)
-        assert drift_reduced(y, ND) == dy
+        assert CESSI.drift(y) == dy
 
     @settings(deadline=None, max_examples=100)
-    @given(st.floats(min_value=-1.0, max_value=2.5))
-    def test_derivative_matches_finite_difference(self, y):
+    @given(st.floats(min_value=0.0, max_value=2.0))
+    def test_derivative_matches_finite_difference(self, f_bar):
+        drift = CessiReduced(f_bar, ND.mu2)
         h = 1e-6
-        fd = (drift_reduced(y + h, ND) - drift_reduced(y - h, ND)) / (2 * h)
-        assert drift_reduced_derivative(y, ND) == pytest.approx(fd, abs=1e-5)
+        for eq in find_equilibria(NondimensionalParams(f_bar=f_bar, mu2=ND.mu2)):
+            fd = (drift.drift(eq.y + h) - drift.drift(eq.y - h)) / (2 * h)
+            assert eq.derivative == pytest.approx(fd, abs=1e-5)
 
 
 class TestPotential:
     def test_zero_at_origin(self):
-        assert potential(0.0, ND) == 0.0
+        assert CESSI.potential(0.0) == 0.0
 
     def test_gradient_vanishes_at_equilibria(self):
         for root in ROOTS:
             h = 1e-6
-            grad = (potential(root + h, ND) - potential(root - h, ND)) / (2 * h)
+            grad = (CESSI.potential(root + h) - CESSI.potential(root - h)) / (2 * h)
             assert abs(grad) < 1e-8
 
     def test_derivative_is_minus_drift(self):
         ys = np.linspace(-1.0, 2.5, 1000)
         h = 1e-7
-        grad = (potential(ys + h, ND) - potential(ys - h, ND)) / (2 * h)
-        assert np.allclose(grad, -drift_reduced(ys, ND), atol=1e-6)
+        grad = (CESSI.potential(ys + h) - CESSI.potential(ys - h)) / (2 * h)
+        assert np.allclose(grad, -CESSI.drift(ys), atol=1e-6)
         # closed-form check at machine precision: quartic coefficients
         analytic = (-ND.f_bar + (1 + ND.mu2) * ys - 2 * ND.mu2 * ys**2
                     + ND.mu2 * ys**3)
-        assert np.max(np.abs(analytic + drift_reduced(ys, ND))) < 1e-12
+        assert np.max(np.abs(analytic + CESSI.drift(ys))) < 1e-12
 
     def test_barrier_tops_both_wells(self):
-        v1, v2, v3 = (potential(r, ND) for r in ROOTS)
+        v1, v2, v3 = (CESSI.potential(r) for r in ROOTS)
         assert v2 > v1
         assert v2 > v3
 
@@ -233,7 +233,7 @@ class TestFindEquilibria:
         for eq, root, deriv in zip(eqs, ROOTS, DERIVS):
             assert eq.y == pytest.approx(root, abs=1e-9)
             assert eq.derivative == pytest.approx(deriv, rel=1e-9)
-            assert abs(drift_reduced(eq.y, ND)) <= 1e-10
+            assert abs(CESSI.drift(eq.y)) <= 1e-10
 
     def test_reference_values_to_four_decimals(self):
         eqs = find_equilibria(ND)
@@ -262,7 +262,7 @@ class TestFindEquilibria:
     def test_derivative_sign_matches_finite_difference(self):
         for eq in find_equilibria(ND):
             h = 1e-6
-            fd = (drift_reduced(eq.y + h, ND) - drift_reduced(eq.y - h, ND)) / (2 * h)
+            fd = (CESSI.drift(eq.y + h) - CESSI.drift(eq.y - h)) / (2 * h)
             assert math.copysign(1, fd) == math.copysign(1, eq.derivative)
 
     def test_no_sign_change_returns_empty(self):
@@ -272,6 +272,28 @@ class TestFindEquilibria:
     def test_invalid_bracket(self):
         with pytest.raises(ModelError, match="bracket"):
             find_equilibria(ND, bracket=(1.0, 1.0))
+
+    def test_close_root_pair_below_lower_fold(self):
+        # The two lower roots are 9.5e-4 apart, inside one cell of a
+        # 2001-point sign-change scan of the bracket.
+        f_bar = 1.2962183604402013 - 1e-6
+        eqs = find_equilibria(NondimensionalParams(f_bar=f_bar, mu2=6.2))
+        assert [e.y for e in eqs] == pytest.approx(
+            [0.426719, 0.427667, 1.145614], abs=1e-6)
+        assert [e.stability for e in eqs] == ["stable", "unstable", "stable"]
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.floats(min_value=0.0, max_value=2.0),
+           st.floats(min_value=0.5, max_value=10.0))
+    def test_roots_cover_every_sign_change(self, f_bar, mu2):
+        drift = CessiReduced(f_bar, mu2)
+        eqs = find_equilibria(NondimensionalParams(f_bar=f_bar, mu2=mu2))
+        for eq in eqs:
+            assert abs(drift.drift(eq.y)) <= 1e-10
+        stabilities = [e.stability for e in eqs]
+        assert all(a != b for a, b in zip(stabilities, stabilities[1:]))
+        values = drift.drift(np.linspace(-1.0, 2.5, 20_001))
+        assert len(eqs) >= np.count_nonzero(values[:-1] * values[1:] < 0.0)
 
 
 class TestIntegrate2D:
@@ -305,7 +327,7 @@ class TestIntegrate2D:
         y0 = 0.5
         horizon = 2.0
         traj = integrate_deterministic_2d(ND, BoxState2D(1.0, y0), horizon, 0.01)
-        ref = solve_ivp(lambda _t, y: drift_reduced(y, ND), (0, horizon), [y0],
+        ref = solve_ivp(lambda _t, y: CESSI.drift(y), (0, horizon), [y0],
                         t_eval=traj.times, rtol=1e-10, atol=1e-12)
         assert np.max(np.abs(traj.y - ref.y[0])) < 15.0 / ND.alpha
 
@@ -315,11 +337,11 @@ class TestIntegrate2D:
 
 
 class TestDriftModels:
-    def test_cessi_matches_reduced(self):
-        drift = CessiReduced(1.1, 6.2)
+    def test_cessi_cubic_coefficients_match_drift(self):
         ys = np.linspace(-1, 2.5, 50)
-        assert np.allclose(drift.drift(ys), drift_reduced(ys, ND))
-        assert np.allclose(drift.potential(ys), potential(ys, ND))
+        for drift in (CESSI, CessiReduced(0.0, 0.5), CessiReduced(2.0, 10.0)):
+            assert np.max(np.abs(np.polyval(drift.coefficients(), ys)
+                                 - drift.drift(ys))) <= 1e-12
 
     def test_double_well_roots_and_potential(self):
         dw = DoubleWell(1.0, 1.0)
