@@ -22,7 +22,6 @@ from .model import (
     density_difference,
     drift_2d,
     drift_dimensional,
-    drift_from_name,
     exchange_function,
     find_equilibria,
     integrate_deterministic_2d,
@@ -52,6 +51,7 @@ from .bridge import (
     detect_jump,
     ml_path,
     solve_bridge,
+    solve_path,
     sweep_noise,
 )
 from .montecarlo import (

@@ -7,7 +7,11 @@ a fixed cell-centered grid with a conservative flux-form discretization,
 reflecting (zero-flux) boundaries and Crank-Nicolson time stepping.  The
 step matrices never change during a solve, so each scheme's tridiagonal
 matrix is LU-factored once (LAPACK ``dgttrf``) and every step is one
-in-place triangular solve against those factors (``dgttrs``).
+in-place triangular solve against those factors (``dgttrs``).  Forward
+solves from several point sources under one generator can be fused
+(:func:`_march_sources`): they march as the columns of one right-hand side,
+one ``dgttrs`` call per step, with each column's bits unchanged, and only
+the slices the caller asks to store are kept.
 
 The backward operator is the exact transpose of the forward one, which makes
 the discrete pairing integral(g * p) dy constant in time (the discrete
@@ -18,6 +22,7 @@ same scheme.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -117,6 +122,14 @@ class NoiseIntensity:
     def __post_init__(self) -> None:
         if not (self.epsilon > 0.0 and math.isfinite(self.epsilon)):
             raise GridError(f"epsilon must be positive, got {self.epsilon!r}")
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:          # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _as_noise(eps) -> NoiseIntensity:
@@ -231,6 +244,75 @@ def _factor(lower, diag, upper, shift: float, weight: float, scheme: str):
     return factors
 
 
+def _step_factors(lower, diag, upper, times: TimeGrid, rannacher_steps: int):
+    """(n_start, be, cn): the number of backward-Euler startup steps and
+    the LU factors of both step matrices, None for a scheme that takes no
+    step."""
+    n_steps = times.n_steps
+    n_start = min(rannacher_steps, n_steps)
+    be = (_factor(lower, diag, upper, 1.0, times.dt, "backward-Euler")
+          if n_start > 0 else None)
+    cn = (_factor(lower, diag, upper, 0.5, 0.25 * times.dt, "Crank-Nicolson")
+          if n_steps > n_start else None)
+    return n_start, be, cn
+
+
+def _march(buf: np.ndarray, step0: int, n_start: int, be, cn) -> None:
+    """March buf[0], the slices at step ``step0``, through buf[1:] in place.
+
+    ``buf`` has shape (steps, sources, n_cells), so buf[k].T is the
+    F-contiguous (n_cells, sources) right-hand side of one ``dgttrs`` call;
+    LAPACK solves its columns one after another with the same arithmetic,
+    so each column gets the bits of a march of its own.  Each step copies
+    the previous slices into the next row and solves there in place.  With
+    A = I - w dt L, a backward-Euler step (w = 1, steps before ``n_start``)
+    is v <- A^-1 v; a Crank-Nicolson step (w = 1/2) has the explicit matrix
+    2I - A, so it is v <- (A/2)^-1 v - v = 2 A^-1 v - v.  A diverging march
+    runs on through inf and NaN without warnings.
+    """
+    n_be = min(max(n_start - step0, 0), len(buf) - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_be):
+            buf[k + 1] = buf[k]
+            dgttrs(*be, buf[k + 1].T, overwrite_b=True)
+        for k in range(n_be, len(buf) - 1):
+            buf[k + 1] = buf[k]
+            dgttrs(*cn, buf[k + 1].T, overwrite_b=True)
+            buf[k + 1] -= buf[k]
+
+
+def _step_checks(rows: np.ndarray, grid: SpatialGrid, check_mass: bool):
+    """(masses, failing, finite) per marched slice of ``rows`` (steps,
+    sources, n_cells).
+
+    A slice fails when it is not finite or, with ``check_mass``, when its
+    mass drifts from one by more than MASS_ABORT_TOLERANCE.  A finite row
+    sum means a finite slice, so only slices with a non-finite sum are read
+    again.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        masses = grid.spacing * rows.sum(axis=-1)
+        finite = np.isfinite(masses)
+        finite[~finite] = np.isfinite(rows[~finite]).all(axis=-1)
+        failing = ~finite
+        if check_mass:
+            failing |= np.abs(masses - 1.0) > MASS_ABORT_TOLERANCE
+    return masses, failing, finite
+
+
+def _raise_first_failure(masses, failing, finite, times: TimeGrid) -> None:
+    """SolverError for the first failing step of one source's march
+    (arrays over steps 1..n_steps); a non-finite slice wins over mass
+    drift."""
+    failed = np.flatnonzero(failing)
+    if failed.size:
+        n = int(failed[0]) + 1
+        if not finite[n - 1]:
+            raise SolverError(f"non-finite density at step {n} "
+                              f"(t={times.t_start + n * times.dt:g})")
+        raise SolverError(f"mass drifted to {masses[n - 1]:.6g} at step {n}")
+
+
 def _sweep(lower, diag, upper, init: np.ndarray, times: TimeGrid,
            rannacher_steps: int, check_mass: bool, grid: SpatialGrid):
     """Run the theta scheme over all steps; return the raw slices and the
@@ -238,45 +320,67 @@ def _sweep(lower, diag, upper, init: np.ndarray, times: TimeGrid,
 
     The sweep always marches away from ``init`` over n_steps intervals, with
     the startup steps applied first; callers reverse the storage order for
-    backward problems.  Each step copies the previous slice into the next
-    row and solves it there in place.  With A = I - w dt L, a backward-Euler
-    step (w = 1) is v <- A^-1 v; a Crank-Nicolson step (w = 1/2) has the
-    explicit matrix 2I - A, so it is v <- (A/2)^-1 v - v = 2 A^-1 v - v.
-    The finite and mass checks run over the row sums after the march and
+    backward problems.  The march is :func:`_march` with one source.  The
+    finite and mass checks run over the row sums after the march and
     report the first failing step, a non-finite slice before mass drift.
     """
-    n_steps = times.n_steps
-    dt = times.dt
-    n_start = min(rannacher_steps, n_steps)
-    be = (_factor(lower, diag, upper, 1.0, dt, "backward-Euler")
-          if n_start > 0 else None)
-    cn = (_factor(lower, diag, upper, 0.5, 0.25 * dt, "Crank-Nicolson")
-          if n_steps > n_start else None)
+    n_start, be, cn = _step_factors(lower, diag, upper, times, rannacher_steps)
+    raw = np.empty((times.n_steps + 1, 1, grid.n_cells))
+    raw[0, 0] = init
+    _march(raw, 0, n_start, be, cn)
+    masses, failing, finite = _step_checks(raw[1:], grid, check_mass)
+    _raise_first_failure(masses[:, 0], failing[:, 0], finite[:, 0], times)
+    return raw[:, 0], float(np.abs(masses - 1.0).max())
 
-    raw = np.empty((n_steps + 1, grid.n_cells))
-    raw[0] = init
-    # a diverging march runs on through inf and NaN without warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n_start):
-            raw[k + 1] = raw[k]
-            dgttrs(*be, raw[k + 1], overwrite_b=True)
-        for k in range(n_start, n_steps):
-            raw[k + 1] = raw[k]
-            dgttrs(*cn, raw[k + 1], overwrite_b=True)
-            raw[k + 1] -= raw[k]
 
-        masses = grid.spacing * raw[1:].sum(axis=1)
-        drift = np.abs(masses - 1.0)
-        suspect = ~np.isfinite(masses)
-        if check_mass:
-            suspect |= drift > MASS_ABORT_TOLERANCE
-    for n in np.flatnonzero(suspect) + 1:
-        if not np.isfinite(raw[n]).all():
-            raise SolverError(f"non-finite density at step {n} "
-                              f"(t={times.t_start + n * dt:g})")
-        if check_mass and drift[n - 1] > MASS_ABORT_TOLERANCE:
-            raise SolverError(f"mass drifted to {masses[n - 1]:.6g} at step {n}")
-    return raw, float(drift.max())
+# Steps per pass of the unstored part of a fused march: big enough that
+# the per-pass numpy calls cost little against the solves, small enough
+# that the buffer is a few MB on the default grid.
+_CHUNK_STEPS = 256
+
+
+def _march_sources(drift, eps, grid: SpatialGrid, times: TimeGrid, sources,
+                   stored: np.ndarray, rannacher_steps: int = RANNACHER_STEPS):
+    """Forward solves from several point sources, fused into one march.
+
+    The sources share one generator, built and factored once; column c of
+    each step's right-hand side is the march of :func:`solve_forward` from
+    ``sources[c]``, with its bits (see :func:`_march`).  No surface is kept:
+    slices 0 .. len(stored) - 1 are written into ``stored``, of shape
+    (k, len(sources), n_cells), and the later ones pass through a buffer of
+    ``_CHUNK_STEPS`` steps and are yielded as (first_step, rows).  Stored
+    and yielded slices are clamped to zero as ``solve_forward`` stores them.
+
+    The finite and mass checks of ``solve_forward`` run on every step.  Once
+    a step has failed no further rows are yielded; after the march the
+    first failing step of the first failing source raises its SolverError.
+    """
+    eps = _as_noise(eps)
+    n_start, be, cn = _step_factors(*_forward_operator(drift, eps, grid),
+                                    times, rannacher_steps)
+    for c, y in enumerate(sources):
+        stored[0, c] = delta_init(grid, y)
+    _march(stored, 0, n_start, be, cn)
+    checks = [_step_checks(stored[1:], grid, check_mass=True)]
+    failed = checks[0][1].any()
+    first = len(stored) - 1                 # the step held in buf[0]
+    buf = np.empty((min(_CHUNK_STEPS, times.n_steps - first) + 1,
+                    *stored.shape[1:]))
+    buf[0] = stored[-1]
+    np.maximum(stored, 0.0, out=stored)
+    while first < times.n_steps:
+        rows = buf[:min(_CHUNK_STEPS, times.n_steps - first) + 1]
+        _march(rows, first, n_start, be, cn)
+        checks.append(_step_checks(rows[1:], grid, check_mass=True))
+        failed = failed or checks[-1][1].any()
+        buf[0] = rows[-1]
+        np.maximum(rows[1:], 0.0, out=rows[1:])
+        if not failed:
+            yield first + 1, rows[1:]
+        first += len(rows) - 1
+    masses, failing, finite = (np.concatenate(a) for a in zip(*checks))
+    for c in range(len(sources)):
+        _raise_first_failure(masses[:, c], failing[:, c], finite[:, c], times)
 
 
 CLAMP_TOLERANCE = -1e-12

@@ -10,7 +10,6 @@ worker count.
 from __future__ import annotations
 
 import math
-import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -19,7 +18,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .fpe import GridError, SpatialGrid, TimeGrid, _as_noise
+from .fpe import GridError, SpatialGrid, TimeGrid, _as_noise, _usable_cpus
 
 RNG_ALGORITHM = "numpy-pcg64/seedsequence-spawn"
 
@@ -87,14 +86,6 @@ def _reflect(y: np.ndarray, lo: float, hi: float) -> np.ndarray:
 def _batch_sizes(n_paths: int) -> list[int]:
     full, rem = divmod(n_paths, _BATCH_SIZE)
     return [_BATCH_SIZE] * full + ([rem] if rem else [])
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:          # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 def _evolve_batch(batch_index: int, batch_n: int, drift, y0: float,

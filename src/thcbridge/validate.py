@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bridge import BridgeSpec, detect_jump, solve_bridge
+from .bridge import BridgeSpec, detect_jump, solve_path
 from .config import ConfigError, RunConfig
 from .fpe import (
     SpatialGrid,
@@ -125,8 +125,7 @@ def check_brownian_bridge(_config: RunConfig) -> CheckResult:
     """ZeroDrift bridge mode is the linear interpolant of its endpoints."""
     grid = SpatialGrid(-1.0, 2.0, 600)
     times = TimeGrid(0.0, 1.0, 1000)
-    _, _, path = solve_bridge(ZeroDrift(), 0.5, BridgeSpec(0.0, 1.0, 1.0),
-                              grid, times)
+    path = solve_path(ZeroDrift(), 0.5, BridgeSpec(0.0, 1.0, 1.0), grid, times)
     measured = float(np.abs(path.psi - path.times).max())
     tol = 2.0 * grid.spacing
     return CheckResult("brownian-bridge", measured, tol, measured <= tol)
@@ -136,8 +135,8 @@ def check_double_well_antisymmetry(_config: RunConfig) -> CheckResult:
     """Symmetric double-well bridge path is odd under t -> T-t, y -> -y."""
     grid = SpatialGrid(-2.5, 2.5, 800)
     times = TimeGrid(0.0, 10.0, 3999)   # odd: no self-paired node at T/2
-    _, _, path = solve_bridge(DoubleWell(), 0.35, BridgeSpec(-1.0, 1.0, 10.0),
-                              grid, times)
+    path = solve_path(DoubleWell(), 0.35, BridgeSpec(-1.0, 1.0, 10.0),
+                      grid, times)
     measured = float(np.abs(path.psi[::-1] + path.psi).max())
     tol = 2.0 * grid.spacing
     return CheckResult("double-well-antisymmetry", measured, tol, measured <= tol)
@@ -184,9 +183,9 @@ def check_resolution_stability(config: RunConfig) -> CheckResult:
     spec = _bridge_spec(config)
     grid = config.spatial_grid()
     times = config.time_grid()
-    _, _, coarse_path = solve_bridge(drift, config.epsilon, spec, grid, times)
-    _, _, fine_path = solve_bridge(drift, config.epsilon, spec,
-                                   grid.refined(), times.refined())
+    coarse_path = solve_path(drift, config.epsilon, spec, grid, times)
+    fine_path = solve_path(drift, config.epsilon, spec, grid.refined(),
+                           times.refined())
     coarse = detect_jump(coarse_path, config.jump_threshold)
     fine = detect_jump(fine_path, config.jump_threshold)
     if coarse is None or fine is None:

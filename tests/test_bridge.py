@@ -1,8 +1,11 @@
 """Bridge products, path extraction, jump detection and the noise sweep."""
 
+import sys
+
 import numpy as np
 import pytest
 
+import thcbridge.bridge as bridge_mod
 from thcbridge.bridge import (
     BridgeError,
     BridgeSpec,
@@ -11,11 +14,14 @@ from thcbridge.bridge import (
     detect_jump,
     ml_path,
     solve_bridge,
+    solve_path,
     sweep_noise,
 )
 from thcbridge.fpe import (
+    RANNACHER_STEPS,
     DensitySurface,
     GridError,
+    SolverError,
     SpatialGrid,
     TimeGrid,
     solve_endpoint_conditioned,
@@ -353,19 +359,118 @@ class TestSweep:
 
     def test_failure_annotated_with_epsilon(self, monkeypatch):
         # per-epsilon solver failures are recorded and do not stop the sweep
-        import thcbridge.bridge as bridge_mod
-        from thcbridge.fpe import SolverError
-        real = bridge_mod.solve_forward
+        real = bridge_mod._march_sources
 
-        def flaky(drift, eps, grid, times, y1, **kwargs):
+        def flaky(drift, eps, grid, times, *args, **kwargs):
             if abs(float(getattr(eps, "epsilon", eps)) - 0.22) < 1e-12:
                 raise SolverError("forced failure")
-            return real(drift, eps, grid, times, y1, **kwargs)
+            return real(drift, eps, grid, times, *args, **kwargs)
 
-        monkeypatch.setattr(bridge_mod, "solve_forward", flaky)
+        monkeypatch.setattr(bridge_mod, "_march_sources", flaky)
         records = sweep_noise(CESSI, BridgeSpec(0.2402, 1.0687, 10.0),
                               [0.22, 0.25], GRID, TIMES, 0.3)
         assert len(records) == 2
         assert not records[0].converged
         assert records[0].error is not None and "0.22" in records[0].error
         assert records[1].converged and records[1].error is None
+
+    def test_records_do_not_depend_on_worker_count(self, monkeypatch):
+        eps_list = [0.01, 0.18, 0.2, 0.25, 0.3]
+        runs = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(bridge_mod, "_usable_cpus", lambda: workers)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                runs.append(sweep_noise(CESSI, BridgeSpec(0.2402, 1.0687, 10.0),
+                                        eps_list, GRID, TIMES, 0.3))
+            finally:
+                sys.setswitchinterval(interval)
+        assert [r.epsilon for r in runs[0]] == eps_list
+        assert runs[0][0].error is not None and runs[0][1].converged
+        assert runs[0] == runs[1] == runs[2]
+
+
+DEFAULT_GRID = SpatialGrid(-1.0, 2.5, 800)
+DEFAULT_TIMES = TimeGrid(0.0, 10.0, 4000)
+DEFAULT_SPEC = BridgeSpec(0.2402, 1.0687, 10.0)
+
+
+class TestSolvePath:
+    """solve_path is solve_bridge's path without the surfaces, bit for bit."""
+
+    @pytest.mark.parametrize("eps", [0.18, 0.2, 0.25, 0.3])
+    def test_default_grid_matches_solve_bridge(self, eps):
+        expected = solve_bridge(CESSI, eps, DEFAULT_SPEC, DEFAULT_GRID,
+                                DEFAULT_TIMES)[2]
+        path = solve_path(CESSI, eps, DEFAULT_SPEC, DEFAULT_GRID, DEFAULT_TIMES)
+        assert np.array_equal(path.psi, expected.psi)
+        assert np.array_equal(path.times, expected.times)
+        assert path.refinement == expected.refinement
+
+    def test_default_sweep_jump_times_match_solve_bridge(self, sweep_points):
+        # sweep_points: solve_bridge + detect_jump over the 13 default levels
+        points, _ = sweep_points
+        records = sweep_noise(CESSI, DEFAULT_SPEC, [p.epsilon for p in points],
+                              DEFAULT_GRID, DEFAULT_TIMES, 0.3)
+        assert len(records) == 13
+        assert [r.t_jump for r in records] == [p.t_jump for p in points]
+        assert all(r.converged for r in records)
+
+    # odd and even step counts, step counts at and below the startup steps,
+    # and a partial last chunk of the unstored half
+    @pytest.mark.parametrize("n_steps", [1, 2, 3, RANNACHER_STEPS,
+                                         RANNACHER_STEPS + 1, 49, 50, 251, 777])
+    def test_step_counts_match_solve_bridge(self, n_steps):
+        grid = SpatialGrid(-1.0, 2.5, 200)
+        times = TimeGrid(0.0, 10.0, n_steps)
+        spec = BridgeSpec(0.2402, 1.0687, 10.0)
+        expected = solve_bridge(CESSI, 0.25, spec, grid, times)[2].psi
+        assert np.array_equal(solve_path(CESSI, 0.25, spec, grid, times).psi,
+                              expected)
+
+    @pytest.mark.parametrize("drift, eps, spec, grid, times", [
+        (DoubleWell(), 0.35, BridgeSpec(-1.0, 1.0, 10.0),
+         SpatialGrid(-2.5, 2.5, 800), TimeGrid(0.0, 10.0, 3999)),
+        (ZeroDrift(), 0.5, BridgeSpec(0.0, 1.0, 1.0),
+         SpatialGrid(-1.0, 2.0, 600), TimeGrid(0.0, 1.0, 1000)),
+    ], ids=["double-well", "zero-drift"])
+    def test_oracle_drifts_match_solve_bridge(self, drift, eps, spec, grid,
+                                              times):
+        expected = solve_bridge(drift, eps, spec, grid, times)[2].psi
+        assert np.array_equal(solve_path(drift, eps, spec, grid, times).psi,
+                              expected)
+
+    def test_disjoint_supports_raise_as_solve_bridge(self):
+        # at eps = 0.01 the end-state density at T is zero around y_start
+        message = "density supports do not overlap at step 0"
+        with pytest.raises(BridgeError, match=message):
+            solve_bridge(CESSI, 0.01, DEFAULT_SPEC, DEFAULT_GRID, DEFAULT_TIMES)
+        with pytest.raises(BridgeError, match=message):
+            solve_path(CESSI, 0.01, DEFAULT_SPEC, DEFAULT_GRID, DEFAULT_TIMES)
+        records = sweep_noise(CESSI, DEFAULT_SPEC, [0.01, 0.25], DEFAULT_GRID,
+                              DEFAULT_TIMES, 0.3)
+        assert records[0].error == (
+            "eps=0.01: density supports do not overlap at step 0: the noise "
+            "level is too small for this horizon")
+        assert not records[0].converged
+        assert records[1].converged and records[1].error is None
+
+    def test_solver_failure_raises_as_solve_bridge(self):
+        class NanDrift:
+            def drift(self, y):
+                return np.full_like(np.asarray(y, dtype=float), np.nan)
+
+        spec = BridgeSpec(0.0, 0.5, 1.0)
+        times = TimeGrid(0.0, 1.0, 100)
+        with pytest.raises(SolverError) as expected:
+            solve_bridge(NanDrift(), 0.2, spec, GRID, times)
+        with pytest.raises(SolverError) as got:
+            solve_path(NanDrift(), 0.2, spec, GRID, times)
+        assert str(got.value) == str(expected.value)
+
+    def test_grid_checks_as_solve_bridge(self):
+        with pytest.raises(GridError, match="horizon"):
+            solve_path(CESSI, 0.2, BridgeSpec(0.24, 1.07, 5.0), GRID, TIMES)
+        with pytest.raises(GridError, match="endpoints"):
+            solve_path(CESSI, 0.2, BridgeSpec(-2.0, 1.07, 10.0), GRID, TIMES)

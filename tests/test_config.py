@@ -5,6 +5,7 @@ import json
 import pytest
 
 from thcbridge.config import ConfigError, load_config, parse_param
+from thcbridge.model import CessiReduced, DoubleWell, LinearOU, ZeroDrift
 
 
 class TestDefaults:
@@ -74,6 +75,18 @@ class TestModelRoutes:
             config = load_config(overrides=["f=1e-7", "f_bar=2.0"])
             nd = config.nondimensional()
         assert nd.f_bar == 2.0
+
+    def test_drift_by_name(self):
+        cases = {
+            ("drift=cessi", "f_bar=1.0", "mu2=2.0"): CessiReduced(1.0, 2.0),
+            ("drift=double-well",): DoubleWell(),
+            ("drift=ou", "drift_rate=3.0"): LinearOU(3.0),
+            ("drift=zero",): ZeroDrift(),
+        }
+        for overrides, drift in cases.items():
+            assert load_config(overrides=list(overrides)).drift_model() == drift
+        with pytest.raises(ConfigError, match="unknown drift 'pendulum'"):
+            load_config(overrides=["drift=pendulum"])
 
     def test_mu2_override_on_dimensional_route(self):
         config = load_config(overrides=["f=9.276982264146245e-08", "mu2=6.2"])

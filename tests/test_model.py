@@ -1,12 +1,17 @@
 """Box-model physics, nondimensionalization and equilibrium analysis."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import thcbridge
 from thcbridge.model import (
     BoxState2D,
     CessiReduced,
@@ -19,7 +24,6 @@ from thcbridge.model import (
     density_difference,
     drift_2d,
     drift_dimensional,
-    drift_from_name,
     exchange_function,
     find_equilibria,
     integrate_deterministic_2d,
@@ -335,6 +339,19 @@ class TestIntegrate2D:
         with pytest.raises(ModelError):
             integrate_deterministic_2d(ND, BoxState2D(1.0, 0.5), -1.0, 0.1)
 
+    def test_package_import_leaves_scipy_integrate_unloaded(self):
+        # only this integrator needs scipy.integrate, so it imports it lazily
+        src = str(Path(thcbridge.__file__).resolve().parents[1])
+        probe = ("import sys, thcbridge, thcbridge.cli, thcbridge.validate; "
+                 "print('scipy.integrate' in sys.modules)")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", probe], env=env,
+                             capture_output=True, text=True, check=True,
+                             timeout=120)
+        assert out.stdout.strip() == "False"
+
 
 class TestDriftModels:
     def test_cessi_cubic_coefficients_match_drift(self):
@@ -359,14 +376,6 @@ class TestDriftModels:
         z = ZeroDrift()
         assert np.all(z.drift(np.array([1.0, -3.0])) == 0.0)
         assert np.all(z.potential(np.array([1.0, -3.0])) == 0.0)
-
-    def test_factory(self):
-        assert drift_from_name("cessi", f_bar=1.0, mu2=2.0) == CessiReduced(1.0, 2.0)
-        assert drift_from_name("double-well") == DoubleWell()
-        assert drift_from_name("ou", rate=3.0) == LinearOU(3.0)
-        assert drift_from_name("zero") == ZeroDrift()
-        with pytest.raises(ModelError, match="unknown drift"):
-            drift_from_name("pendulum")
 
     def test_state_must_be_finite(self):
         with pytest.raises(ModelError):
