@@ -29,8 +29,10 @@ from .fpe import (
     SolverError,
     SpatialGrid,
     TimeGrid,
+    _forward_operator,
     _march_sources,
     _usable_cpus,
+    delta_init,
     solve_endpoint_conditioned,
     solve_forward,
 )
@@ -229,7 +231,7 @@ def detect_jump(path: MLPath,
     """
     if path.psi.size < 2:
         raise BridgeError("path has fewer than two samples")
-    if threshold <= 0.0:
+    if not threshold > 0.0:
         raise BridgeError(f"threshold must be positive, got {threshold}")
     steps = np.abs(np.diff(path.psi))
     k = int(np.argmax(steps))
@@ -277,9 +279,9 @@ def solve_path(drift, eps, spec: BridgeSpec, grid: SpatialGrid,
     slices 0..n//2 of both are stored, about one surface of memory.  Each
     later step m folds into slot s = n - m: column 0 becomes row s
     (p_s * r_m) and column 1 row m (r_s * p_m); for even n the middle slot
-    pairs with itself.  The slices are clamped as ``solve_forward`` stores
-    them, the underflow guard and the refined argmax are those of
-    :func:`ml_path`, and failures raise the exception and message
+    pairs with itself.  Each slice is clamped in place just before its
+    product, as ``solve_forward`` clamps its slices; the underflow guard and
+    the refined argmax are those of :func:`ml_path`, and failures raise the exception and message
     :func:`solve_bridge` gives: the march from ``y_start`` before the one
     from ``y_end``, the earliest slice first.
     """
@@ -289,16 +291,23 @@ def solve_path(drift, eps, spec: BridgeSpec, grid: SpatialGrid,
     slots = np.empty((half + 1, 2, grid.n_cells))
     empty = np.zeros(n + 1, dtype=bool)
     disjoint = np.zeros(n + 1, dtype=bool)
-    for first, rows in _march_sources(drift, eps, grid, times,
-                                      (spec.y_start, spec.y_end), slots):
+
+    def fold(first, rows):
         m = np.arange(first, first + len(rows))
         paired = slots[n - m[-1]:n - first + 1][::-1]    # slot n - m per row
+        np.maximum(paired, 0.0, out=paired)
+        np.maximum(rows, 0.0, out=rows)
         empty[n - m], disjoint[n - m] = _guarded_product(
             paired[:, 0], rows[:, 1], out=paired[:, 0])
         empty[m], disjoint[m] = _guarded_product(
             paired[:, 1], rows[:, 0], out=paired[:, 1])
+
+    _march_sources(*_forward_operator(drift, eps, grid), grid, times,
+                   [delta_init(grid, spec.y_start), delta_init(grid, spec.y_end)],
+                   slots, check_mass=True, fold=fold)
     if n % 2 == 0:
         middle = slots[half:]
+        np.maximum(middle, 0.0, out=middle)
         empty[half:half + 1], disjoint[half:half + 1] = _guarded_product(
             middle[:, 0], middle[:, 1], out=middle[:, 0])
     _raise_failed_slice(empty, disjoint)

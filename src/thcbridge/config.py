@@ -11,6 +11,7 @@ keys take the defaults of :mod:`thcbridge.model`.
 from __future__ import annotations
 
 import json
+import math
 import typing
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -20,7 +21,10 @@ from .model import (
     DRIFTS,
     CessiReduced,
     DimensionalParams,
+    DoubleWell,
     DriftModel,
+    LinearOU,
+    ModelError,
     NondimensionalParams,
     nondimensionalize,
 )
@@ -64,7 +68,7 @@ class RunConfig:
     # dimensional keys, unset f_bar/mu2 take NondimensionalParams' defaults.
     f_bar: float | None = None
     mu2: float | None = None
-    alpha: float = 3199.59
+    alpha: float = NondimensionalParams.alpha
     # model (dimensional route)
     t_d_years: float | None = None
     t_r_days: float | None = None
@@ -81,9 +85,9 @@ class RunConfig:
     f: float | None = None
     # drift selection (cessi uses f_bar/mu2; others for oracles)
     drift: str = "cessi"
-    drift_a: float = 1.0
-    drift_b: float = 1.0
-    drift_rate: float = 1.0
+    drift_a: float = DoubleWell.a
+    drift_b: float = DoubleWell.b
+    drift_rate: float = LinearOU.rate
     # grids
     y_min: float = -1.0
     y_max: float = 2.5
@@ -123,19 +127,18 @@ class RunConfig:
         dimensional = {arg: getattr(self, key)
                        for key, arg in _DIMENSIONAL_KEYS.items()
                        if getattr(self, key) is not None}
-        if dimensional:
-            try:
-                params = DimensionalParams.from_units(**dimensional)
-                nd = nondimensionalize(params, f_bar=self.f_bar)
-            except ValueError as exc:
-                raise ConfigError("f", str(exc)) from exc
-            return nd if self.mu2 is None else replace(nd, mu2=self.mu2)
         given = {key: getattr(self, key) for key in ("f_bar", "mu2")
                  if getattr(self, key) is not None}
         try:
-            return NondimensionalParams(alpha=self.alpha, **given)
-        except ValueError as exc:
-            raise ConfigError("mu2", str(exc)) from exc
+            if not dimensional:
+                return NondimensionalParams(alpha=self.alpha, **given)
+            params = DimensionalParams.from_units(**dimensional)
+            nd = nondimensionalize(params, f_bar=self.f_bar)
+            return nd if self.mu2 is None else replace(nd, mu2=self.mu2)
+        except ModelError as exc:
+            # a given key is named as is; anything derived comes from "f"
+            key = exc.name if exc.name in given or not dimensional else "f"
+            raise ConfigError(key, str(exc)) from exc
 
     def drift_model(self) -> DriftModel:
         """The selected drift; Cessi takes the resolved (f_bar, mu2)."""
@@ -153,13 +156,13 @@ class RunConfig:
         """Cross-field checks shared by every command."""
         if not self.eps_list:
             raise ConfigError("eps_list", "must not be empty")
-        if any(e <= 0 for e in self.eps_list):
+        if not all(e > 0 for e in self.eps_list):
             raise ConfigError("eps_list", "entries must be positive")
         if list(self.eps_list) != sorted(self.eps_list):
             raise ConfigError("eps_list", "must be sorted ascending")
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise ConfigError("epsilon", "must be positive")
-        if self.jump_threshold <= 0:
+        if not self.jump_threshold > 0:
             raise ConfigError("jump_threshold", "must be positive")
         if self.dump_every < 1:
             raise ConfigError("dump_every", "must be >= 1")
@@ -167,7 +170,7 @@ class RunConfig:
             raise ConfigError("seed", "must be a non-negative integer")
         if self.n_paths < 1:
             raise ConfigError("n_paths", "must be >= 1")
-        if self.dt_sde <= 0:
+        if not self.dt_sde > 0:
             raise ConfigError("dt_sde", "must be positive")
         grid = self.spatial_grid()
         self.time_grid()
@@ -191,6 +194,14 @@ class RunConfig:
 _FIELD_TYPES = typing.get_type_hints(RunConfig)
 
 
+def _finite(value) -> float:
+    """float(value) for a finite number; a boolean is not a number."""
+    number = math.nan if isinstance(value, bool) else float(value)
+    if not math.isfinite(number):
+        raise ValueError(value)
+    return number
+
+
 def _coerce(key: str, value) -> object:
     """Coerce a raw JSON/CLI value to the type its RunConfig field is annotated with."""
     if key not in _FIELD_TYPES:
@@ -208,9 +219,9 @@ def _coerce(key: str, value) -> object:
         else:
             raise ConfigError(key, f"expected a list, got {value!r}")
         try:
-            return tuple(float(p) for p in parts)
+            return tuple(_finite(p) for p in parts)
         except (TypeError, ValueError):
-            raise ConfigError(key, f"not a list of numbers: {value!r}") from None
+            raise ConfigError(key, f"not a list of finite numbers: {value!r}") from None
     if kind is bool:
         if isinstance(value, bool):
             return value
@@ -220,14 +231,14 @@ def _coerce(key: str, value) -> object:
     if kind is str:
         return str(value)
     try:
+        number = _finite(value)
         if kind is int:
-            as_float = float(value)
-            if as_float != int(as_float):
+            if number != int(number):
                 raise ValueError
-            return int(as_float)
-        return float(value)
+            return int(number)
+        return number
     except (TypeError, ValueError):
-        expected = "an integer" if kind is int else "a number"
+        expected = "an integer" if kind is int else "a finite number"
         raise ConfigError(key, f"expected {expected}, got {value!r}") from None
 
 

@@ -7,11 +7,12 @@ a fixed cell-centered grid with a conservative flux-form discretization,
 reflecting (zero-flux) boundaries and Crank-Nicolson time stepping.  The
 step matrices never change during a solve, so each scheme's tridiagonal
 matrix is LU-factored once (LAPACK ``dgttrf``) and every step is one
-in-place triangular solve against those factors (``dgttrs``).  Forward
-solves from several point sources under one generator can be fused
-(:func:`_march_sources`): they march as the columns of one right-hand side,
-one ``dgttrs`` call per step, with each column's bits unchanged, and only
-the slices the caller asks to store are kept.
+in-place triangular solve against those factors (``dgttrs``).  Every solve
+runs through one march driver, :func:`_march_sources`: several point
+sources under one generator march as the columns of one right-hand side,
+one ``dgttrs`` call per step, with each column's bits unchanged; the
+caller's buffer holds the slices it stores, and a surface is clamped in
+that buffer.
 
 The backward operator is the exact transpose of the forward one, which makes
 the discrete pairing integral(g * p) dy constant in time (the discrete
@@ -204,7 +205,7 @@ def delta_init(grid: SpatialGrid, y0: float) -> np.ndarray:
 
 # --- operator construction ---------------------------------------------------
 
-def _forward_operator(drift, eps: NoiseIntensity, grid: SpatialGrid):
+def _forward_operator(drift, eps, grid: SpatialGrid):
     """Tridiagonal generator L of the flux-form forward equation.
 
     dp_i/dt = (F_i - F_{i+1}) / h with face fluxes
@@ -215,7 +216,7 @@ def _forward_operator(drift, eps: NoiseIntensity, grid: SpatialGrid):
     Returns (lower, diag, upper) with lower[i] = L[i+1, i], upper[i] = L[i, i+1].
     """
     h = grid.spacing
-    d_coef = 0.5 * eps.epsilon**2
+    d_coef = 0.5 * _as_noise(eps).epsilon**2
     f_face = np.asarray(drift.drift(grid.faces[1:-1]), dtype=float)  # interior faces
 
     adv = f_face / (2.0 * h)
@@ -244,12 +245,12 @@ def _factor(lower, diag, upper, shift: float, weight: float, scheme: str):
     return factors
 
 
-def _step_factors(lower, diag, upper, times: TimeGrid, rannacher_steps: int):
+def _step_factors(lower, diag, upper, times: TimeGrid):
     """(n_start, be, cn): the number of backward-Euler startup steps and
     the LU factors of both step matrices, None for a scheme that takes no
     step."""
     n_steps = times.n_steps
-    n_start = min(rannacher_steps, n_steps)
+    n_start = min(RANNACHER_STEPS, n_steps)
     be = (_factor(lower, diag, upper, 1.0, times.dt, "backward-Euler")
           if n_start > 0 else None)
     cn = (_factor(lower, diag, upper, 0.5, 0.25 * times.dt, "Crank-Nicolson")
@@ -313,74 +314,53 @@ def _raise_first_failure(masses, failing, finite, times: TimeGrid) -> None:
         raise SolverError(f"mass drifted to {masses[n - 1]:.6g} at step {n}")
 
 
-def _sweep(lower, diag, upper, init: np.ndarray, times: TimeGrid,
-           rannacher_steps: int, check_mass: bool, grid: SpatialGrid):
-    """Run the theta scheme over all steps; return the raw slices and the
-    worst mass drift max |spacing * sum - 1|.
-
-    The sweep always marches away from ``init`` over n_steps intervals, with
-    the startup steps applied first; callers reverse the storage order for
-    backward problems.  The march is :func:`_march` with one source.  The
-    finite and mass checks run over the row sums after the march and
-    report the first failing step, a non-finite slice before mass drift.
-    """
-    n_start, be, cn = _step_factors(lower, diag, upper, times, rannacher_steps)
-    raw = np.empty((times.n_steps + 1, 1, grid.n_cells))
-    raw[0, 0] = init
-    _march(raw, 0, n_start, be, cn)
-    masses, failing, finite = _step_checks(raw[1:], grid, check_mass)
-    _raise_first_failure(masses[:, 0], failing[:, 0], finite[:, 0], times)
-    return raw[:, 0], float(np.abs(masses - 1.0).max())
-
-
-# Steps per pass of the unstored part of a fused march: big enough that
-# the per-pass numpy calls cost little against the solves, small enough
-# that the buffer is a few MB on the default grid.
+# Steps per pass of the unstored part of a march: big enough that the
+# per-pass numpy calls cost little against the solves, small enough that
+# the buffer is a few MB on the default grid.
 _CHUNK_STEPS = 256
 
 
-def _march_sources(drift, eps, grid: SpatialGrid, times: TimeGrid, sources,
-                   stored: np.ndarray, rannacher_steps: int = RANNACHER_STEPS):
-    """Forward solves from several point sources, fused into one march.
+def _march_sources(lower, diag, upper, grid: SpatialGrid, times: TimeGrid,
+                   inits, stored: np.ndarray, check_mass: bool,
+                   fold=None) -> float:
+    """March the slices ``inits`` under the generator (lower, diag, upper)
+    over every step of ``times``; the one march driver of every solve.
 
-    The sources share one generator, built and factored once; column c of
-    each step's right-hand side is the march of :func:`solve_forward` from
-    ``sources[c]``, with its bits (see :func:`_march`).  No surface is kept:
-    slices 0 .. len(stored) - 1 are written into ``stored``, of shape
-    (k, len(sources), n_cells), and the later ones pass through a buffer of
-    ``_CHUNK_STEPS`` steps and are yielded as (first_step, rows).  Stored
-    and yielded slices are clamped to zero as ``solve_forward`` stores them.
+    The generator is factored once; each source c is column c of one
+    right-hand side per step, with the bits of a march of its own (see
+    :func:`_march`).  Slices 0 .. len(stored) - 1 are written raw into
+    ``stored``, of shape (k, sources, n_cells).  The later ones pass raw
+    through a buffer of ``_CHUNK_STEPS`` steps and are handed to
+    ``fold(first_step, rows)``, which may overwrite them; the march goes on
+    from its own copy of the last slice.
 
-    The finite and mass checks of ``solve_forward`` run on every step.  Once
-    a step has failed no further rows are yielded; after the march the
-    first failing step of the first failing source raises its SolverError.
+    Every step gets the finite check and, with ``check_mass``, the mass
+    check.  Once a step has failed no further rows are folded; after the
+    march the first failing step of the first failing source raises its
+    SolverError.  Returns the worst mass drift max |spacing * sum - 1|.
     """
-    eps = _as_noise(eps)
-    n_start, be, cn = _step_factors(*_forward_operator(drift, eps, grid),
-                                    times, rannacher_steps)
-    for c, y in enumerate(sources):
-        stored[0, c] = delta_init(grid, y)
+    n_start, be, cn = _step_factors(lower, diag, upper, times)
+    stored[0] = inits
     _march(stored, 0, n_start, be, cn)
-    checks = [_step_checks(stored[1:], grid, check_mass=True)]
+    checks = [_step_checks(stored[1:], grid, check_mass)]
     failed = checks[0][1].any()
     first = len(stored) - 1                 # the step held in buf[0]
     buf = np.empty((min(_CHUNK_STEPS, times.n_steps - first) + 1,
                     *stored.shape[1:]))
     buf[0] = stored[-1]
-    np.maximum(stored, 0.0, out=stored)
     while first < times.n_steps:
         rows = buf[:min(_CHUNK_STEPS, times.n_steps - first) + 1]
         _march(rows, first, n_start, be, cn)
-        checks.append(_step_checks(rows[1:], grid, check_mass=True))
+        checks.append(_step_checks(rows[1:], grid, check_mass))
         failed = failed or checks[-1][1].any()
         buf[0] = rows[-1]
-        np.maximum(rows[1:], 0.0, out=rows[1:])
         if not failed:
-            yield first + 1, rows[1:]
+            fold(first + 1, rows[1:])
         first += len(rows) - 1
     masses, failing, finite = (np.concatenate(a) for a in zip(*checks))
-    for c in range(len(sources)):
+    for c in range(masses.shape[1]):
         _raise_first_failure(masses[:, c], failing[:, c], finite[:, c], times)
+    return float(np.abs(masses - 1.0).max())
 
 
 CLAMP_TOLERANCE = -1e-12
@@ -389,39 +369,48 @@ CLAMP_TOLERANCE = -1e-12
 def _package(raw: np.ndarray, grid: SpatialGrid, times: TimeGrid, kind: str,
              source: float, max_mass_drift: float | None = None
              ) -> DensitySurface:
+    """The surface of ``raw``, its negative values counted and then
+    clamped to zero in place."""
     min_raw = float(raw.min())
     negatives = int(np.count_nonzero(raw < 0.0)) if min_raw < 0.0 else 0
     violations = (int(np.count_nonzero(raw < CLAMP_TOLERANCE))
                   if min_raw < CLAMP_TOLERANCE else 0)
-    values = np.maximum(raw, 0.0)
-    values.setflags(write=False)
-    return DensitySurface(grid=grid, times=times, values=values, kind=kind,
+    np.maximum(raw, 0.0, out=raw)
+    raw.setflags(write=False)
+    return DensitySurface(grid=grid, times=times, values=raw, kind=kind,
                           source=source, clamped_nodes=negatives,
                           clamp_violations=violations,
                           min_pre_clamp=min(min_raw, 0.0),
                           max_mass_drift=max_mass_drift)
 
 
-def solve_forward(drift, eps, grid: SpatialGrid, times: TimeGrid, y1: float,
-                  rannacher_steps: int = RANNACHER_STEPS) -> DensitySurface:
+def _surface_march(lower, diag, upper, grid: SpatialGrid, times: TimeGrid,
+                   source: float, check_mass: bool):
+    """Every raw slice of one march from a point source at ``source``, in
+    marching order, and its worst mass drift."""
+    raw = np.empty((times.n_steps + 1, 1, grid.n_cells))
+    max_mass_drift = _march_sources(lower, diag, upper, grid, times,
+                                    delta_init(grid, source), raw, check_mass)
+    return raw[:, 0], max_mass_drift
+
+
+def solve_forward(drift, eps, grid: SpatialGrid, times: TimeGrid,
+                  y1: float) -> DensitySurface:
     """Density p(y, t | y1, t_start) for all stored time nodes.
 
     Conservative flux form, reflecting boundaries, Crank-Nicolson stepping
-    with ``rannacher_steps`` backward-Euler startup steps to damp the
+    with RANNACHER_STEPS backward-Euler startup steps to damp the
     point-source transient.  Negative stored values are clamped to zero and
     counted; the evolution itself is untouched so conservation and the
     discrete Chapman-Kolmogorov identity hold exactly.
     """
-    eps = _as_noise(eps)
-    lower, diag, upper = _forward_operator(drift, eps, grid)
-    init = delta_init(grid, y1)
-    raw, max_mass_drift = _sweep(lower, diag, upper, init, times,
-                                 rannacher_steps, check_mass=True, grid=grid)
+    raw, max_mass_drift = _surface_march(*_forward_operator(drift, eps, grid),
+                                         grid, times, y1, check_mass=True)
     return _package(raw, grid, times, "forward", y1, max_mass_drift)
 
 
-def solve_backward(drift, eps, grid: SpatialGrid, times: TimeGrid, y3: float,
-                   rannacher_steps: int = RANNACHER_STEPS) -> DensitySurface:
+def solve_backward(drift, eps, grid: SpatialGrid, times: TimeGrid,
+                   y3: float) -> DensitySurface:
     """Hitting density g(y, t) = p(y3, t_end | y, t) for all stored time nodes.
 
     Integrates the backward equation dg/dt = -f dg/dy - (eps^2/2) d2g/dy2
@@ -431,20 +420,16 @@ def solve_backward(drift, eps, grid: SpatialGrid, times: TimeGrid, y3: float,
     pairing integral(g*p) is conserved against any forward solve that uses
     the same stepping schedule.
     """
-    eps = _as_noise(eps)
     lower, diag, upper = _forward_operator(drift, eps, grid)
-    init = delta_init(grid, y3)
     # Transpose swaps the off-diagonals; marching "forward" from the terminal
-    # condition and flipping the storage realizes the backward-in-time sweep.
-    raw, _ = _sweep(upper, diag, lower, init, times, rannacher_steps,
-                    check_mass=False, grid=grid)
+    # condition and reading the slices in reverse realizes the backward sweep.
+    raw, _ = _surface_march(upper, diag, lower, grid, times, y3,
+                            check_mass=False)
     return _package(raw[::-1], grid, times, "backward", y3)
 
 
 def solve_endpoint_conditioned(drift, eps, grid: SpatialGrid, times: TimeGrid,
-                               y_end: float,
-                               rannacher_steps: int = RANNACHER_STEPS,
-                               ) -> DensitySurface:
+                               y_end: float) -> DensitySurface:
     """Density of the state at time t conditioned on ending at ``y_end``.
 
     For a path drawn from the stationary ensemble and pinned to ``y_end`` at
@@ -457,16 +442,10 @@ def solve_endpoint_conditioned(drift, eps, grid: SpatialGrid, times: TimeGrid,
     This is the endpoint factor the pathway extraction multiplies against
     the forward surface from the start state.
     """
-    reversed_ = solve_forward(drift, eps, grid, times, y_end,
-                              rannacher_steps=rannacher_steps)
-    values = reversed_.values[::-1].copy()
-    values.setflags(write=False)
-    return DensitySurface(grid=grid, times=times, values=values,
-                          kind="conditioned", source=y_end,
-                          clamped_nodes=reversed_.clamped_nodes,
-                          clamp_violations=reversed_.clamp_violations,
-                          min_pre_clamp=reversed_.min_pre_clamp,
-                          max_mass_drift=reversed_.max_mass_drift)
+    raw, max_mass_drift = _surface_march(*_forward_operator(drift, eps, grid),
+                                         grid, times, y_end, check_mass=True)
+    return _package(raw[::-1], grid, times, "conditioned", y_end,
+                    max_mass_drift)
 
 
 def stationary_density(drift, eps, grid: SpatialGrid) -> np.ndarray:

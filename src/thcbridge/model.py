@@ -23,7 +23,12 @@ DEFAULT_EQUILIBRIUM_BRACKET = (-1.0, 2.5)
 
 
 class ModelError(ValueError):
-    """Invalid model parameters or inputs."""
+    """Invalid model parameters or inputs; ``name`` is the offending
+    parameter, when there is one."""
+
+    def __init__(self, message: str, name: str | None = None):
+        super().__init__(message)
+        self.name = name
 
 
 @dataclass(frozen=True)
@@ -66,23 +71,18 @@ class DimensionalParams:
                 raise ModelError(f"{name} must be strictly positive, got {value!r}")
 
     @classmethod
-    def from_units(
-        cls,
-        *,
-        t_d_years: float = 219.0,
-        t_r_days: float = 25.0,
-        t_a_years: float = 35.0,
-        freshwater_flux: float | None = None,
-        **kwargs,
-    ) -> "DimensionalParams":
-        """Build params with the time scales given in years/days."""
-        return cls(
-            diffusion_time=t_d_years * YEAR_SECONDS,
-            relaxation_time=t_r_days * DAY_SECONDS,
-            advection_time=t_a_years * YEAR_SECONDS,
-            freshwater_flux=freshwater_flux,
-            **kwargs,
-        )
+    def from_units(cls, *, t_d_years: float | None = None,
+                   t_r_days: float | None = None,
+                   t_a_years: float | None = None,
+                   **kwargs) -> "DimensionalParams":
+        """Build params with the time scales given in years/days; an
+        unset time scale keeps its field default."""
+        scaled = {"diffusion_time": (t_d_years, YEAR_SECONDS),
+                  "relaxation_time": (t_r_days, DAY_SECONDS),
+                  "advection_time": (t_a_years, YEAR_SECONDS)}
+        return cls(**{name: value * unit
+                      for name, (value, unit) in scaled.items()
+                      if value is not None}, **kwargs)
 
     def advection_time_from_geometry(self) -> float:
         """Advection time V / (q (alpha_T theta)^2) implied by the transport geometry.
@@ -103,10 +103,14 @@ class NondimensionalParams:
     mu2: float = 6.2
 
     def __post_init__(self) -> None:
-        if not (self.alpha > 0.0):
-            raise ModelError(f"alpha must be positive, got {self.alpha!r}")
-        if not (self.mu2 > 0.0):
-            raise ModelError(f"mu2 must be positive, got {self.mu2!r}")
+        if not math.isfinite(self.f_bar):
+            raise ModelError(f"f_bar must be finite, got {self.f_bar!r}",
+                             "f_bar")
+        for name in ("alpha", "mu2"):
+            value = getattr(self, name)
+            if not (value > 0.0 and math.isfinite(value)):
+                raise ModelError(f"{name} must be positive and finite, "
+                                 f"got {value!r}", name)
 
 
 @dataclass(frozen=True)
@@ -277,8 +281,8 @@ def integrate_deterministic_2d(nd: NondimensionalParams, initial: BoxState2D,
 class CessiReduced:
     """Reduced bistable salinity drift with its quartic potential."""
 
-    f_bar: float = 1.1
-    mu2: float = 6.2
+    f_bar: float = NondimensionalParams.f_bar
+    mu2: float = NondimensionalParams.mu2
 
     def drift(self, y):
         return self.f_bar - y * (1.0 + self.mu2 * (1.0 - y) ** 2)
@@ -290,9 +294,6 @@ class CessiReduced:
     def coefficients(self) -> np.ndarray:
         """The drift as a cubic in y, highest power first (numpy.roots order)."""
         return np.array([-self.mu2, 2.0 * self.mu2, -(1.0 + self.mu2), self.f_bar])
-
-    def describe(self) -> str:
-        return f"cessi(f_bar={self.f_bar:g}, mu2={self.mu2:g})"
 
 
 @dataclass(frozen=True)
@@ -308,9 +309,6 @@ class DoubleWell:
     def potential(self, y):
         return -0.5 * self.a * y**2 + 0.25 * self.b * y**4
 
-    def describe(self) -> str:
-        return f"double-well(a={self.a:g}, b={self.b:g})"
-
 
 @dataclass(frozen=True)
 class LinearOU:
@@ -324,9 +322,6 @@ class LinearOU:
     def potential(self, y):
         return 0.5 * self.rate * y**2
 
-    def describe(self) -> str:
-        return f"ou(rate={self.rate:g})"
-
 
 @dataclass(frozen=True)
 class ZeroDrift:
@@ -337,9 +332,6 @@ class ZeroDrift:
 
     def potential(self, y):
         return np.zeros_like(np.asarray(y, dtype=float))
-
-    def describe(self) -> str:
-        return "zero"
 
 
 DriftModel = Union[CessiReduced, DoubleWell, LinearOU, ZeroDrift]

@@ -1,5 +1,6 @@
 """Bridge products, path extraction, jump detection and the noise sweep."""
 
+import math
 import sys
 
 import numpy as np
@@ -290,6 +291,13 @@ class TestDetectJump:
         assert event.y_before == pytest.approx(0.2402)
         assert event.y_after == pytest.approx(1.0687)
 
+    @pytest.mark.parametrize("threshold", [float("nan"), 0.0, -0.3])
+    def test_threshold_must_be_positive(self, threshold):
+        times = np.linspace(0.0, 1.0, 3)
+        path = MLPath(times=times, psi=np.zeros(3), refinement="grid-argmax")
+        with pytest.raises(BridgeError, match="threshold"):
+            detect_jump(path, threshold)
+
     def test_threshold_is_strict(self):
         times = np.linspace(0.0, 1.0, 3)
         psi = np.array([0.0, 0.3, 0.3])
@@ -361,10 +369,12 @@ class TestSweep:
         # per-epsilon solver failures are recorded and do not stop the sweep
         real = bridge_mod._march_sources
 
-        def flaky(drift, eps, grid, times, *args, **kwargs):
-            if abs(float(getattr(eps, "epsilon", eps)) - 0.22) < 1e-12:
+        def flaky(lower, diag, upper, grid, *args, **kwargs):
+            # the diffusion part of the generator: lower + upper = eps^2 / h^2
+            eps = grid.spacing * math.sqrt(lower[0] + upper[0])
+            if abs(eps - 0.22) < 1e-12:
                 raise SolverError("forced failure")
-            return real(drift, eps, grid, times, *args, **kwargs)
+            return real(lower, diag, upper, grid, *args, **kwargs)
 
         monkeypatch.setattr(bridge_mod, "_march_sources", flaky)
         records = sweep_noise(CESSI, BridgeSpec(0.2402, 1.0687, 10.0),
@@ -407,6 +417,21 @@ class TestSolvePath:
         assert np.array_equal(path.psi, expected.psi)
         assert np.array_equal(path.times, expected.times)
         assert path.refinement == expected.refinement
+
+    def test_fold_clamps_every_factor(self, monkeypatch):
+        # the default forward solve at eps = 0.20 clamps 516 000 negative
+        # nodes; none of them may reach a product, and every row is formed
+        real = bridge_mod._guarded_product
+        rows = []
+
+        def nonnegative(a, b, out):
+            assert a.min() >= 0.0 and b.min() >= 0.0
+            rows.append(len(a))
+            return real(a, b, out)
+
+        monkeypatch.setattr(bridge_mod, "_guarded_product", nonnegative)
+        solve_path(CESSI, 0.20, DEFAULT_SPEC, DEFAULT_GRID, DEFAULT_TIMES)
+        assert sum(rows) == DEFAULT_TIMES.n_steps + 1
 
     def test_default_sweep_jump_times_match_solve_bridge(self, sweep_points):
         # sweep_points: solve_bridge + detect_jump over the 13 default levels

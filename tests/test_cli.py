@@ -274,6 +274,35 @@ class TestFailureModes:
         assert manifest["error"]["stage"] == "config"
         assert repr(key) in manifest["error"]["message"]
 
+    @pytest.mark.parametrize("args, key", [
+        (["bridge-path", *FAST_ZERO, "--param", "jump_threshold=nan"],
+         "jump_threshold"),
+        (["equilibria", "--param", "f_bar=nan"], "f_bar"),
+        (["equilibria", "--param", "f=1e300"], "f"),
+        (["equilibria", "--param", "alpha=-1"], "alpha"),
+        (["validate", "--checks", "mc-hitting", "--param", "f_bar=inf"],
+         "f_bar"),
+        (["sweep", "--eps-list", "0.2,nan"], "eps_list"),
+        (["mc", "--param", "dt_sde=nan"], "dt_sde"),
+    ], ids=["jump_threshold", "f_bar", "derived-f_bar", "alpha", "validate",
+            "eps_list", "dt_sde"])
+    def test_bad_number_exit_2_with_manifest(self, tmp_path, capsys, args, key):
+        out = tmp_path / "bad"
+        assert main([*args, "--out", str(out)]) == 2
+        assert repr(key) in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert repr(key) in manifest["error"]["message"]
+        assert not (out / "jump.json").exists()
+
+    def test_boolean_seed_exit_2_with_manifest(self, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"seed": True}))
+        out = tmp_path / "bool"
+        assert main(["mc", "--config", str(path), "--out", str(out)]) == 2
+        assert "'seed'" in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["error"]["stage"] == "config"
+
     def test_unwritable_out_dir_exit_2(self):
         assert main(["equilibria", "--out", "/dev/null/nope"]) == 2
 

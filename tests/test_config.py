@@ -1,10 +1,11 @@
 """Configuration loading, overrides and the two model-parameter routes."""
 
 import json
+import warnings
 
 import pytest
 
-from thcbridge.config import ConfigError, load_config, parse_param
+from thcbridge.config import ConfigError, RunConfig, load_config, parse_param
 from thcbridge.model import CessiReduced, DoubleWell, LinearOU, ZeroDrift
 
 
@@ -120,6 +121,36 @@ class TestValidation:
         path = tmp_path / "run.json"
         path.write_text(json.dumps({"f_bar": None, "mu2": None}))
         assert load_config(path).nondimensional().f_bar == 1.1
+
+    @pytest.mark.parametrize("override", [
+        "epsilon=nan", "epsilon=inf", "jump_threshold=nan", "dt_sde=nan",
+        "eps_list=0.2,nan", "f_bar=nan", "alpha=-inf", "n_cells=inf",
+    ])
+    def test_non_finite_number_rejected(self, override):
+        key = override.partition("=")[0]
+        with pytest.raises(ConfigError, match=f"'{key}'.*(finite|integer)"):
+            load_config(overrides=[override])
+
+    @pytest.mark.parametrize("key", ["seed", "epsilon", "f_bar", "eps_list"])
+    def test_boolean_is_not_a_number(self, tmp_path, key):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({key: [True] if key == "eps_list" else True}))
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            load_config(path)
+
+    @pytest.mark.parametrize("fields, key", [
+        ({"alpha": -1.0}, "alpha"),
+        ({"mu2": float("nan")}, "mu2"),
+        ({"f_bar": float("inf")}, "f_bar"),
+        ({"f": 1e-7, "f_bar": float("nan")}, "f_bar"),
+        ({"f": 1e300}, "f"),
+    ], ids=["alpha", "mu2", "f_bar", "f_bar-next-to-f", "derived-f_bar"])
+    def test_nondimensional_names_the_key(self, fields, key):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")     # f_bar given next to f
+            with pytest.raises(ConfigError, match="finite|positive") as info:
+                RunConfig(**fields).nondimensional()
+        assert info.value.key == key
 
     def test_empty_eps_list_rejected(self):
         with pytest.raises(ConfigError, match="eps_list"):

@@ -2,6 +2,7 @@
 relaxation, time reversal, conservation and positivity."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -25,7 +26,8 @@ from thcbridge.fpe import (
     solve_forward,
     stationary_density,
 )
-from thcbridge.fpe import _forward_operator, _sweep
+import thcbridge.fpe as fpe_mod
+from thcbridge.fpe import _forward_operator, _march_sources
 from thcbridge.model import CessiReduced, LinearOU, ZeroDrift
 from thcbridge.montecarlo import l1_distance
 
@@ -288,6 +290,28 @@ class TestEndpointConditioned:
         assert l1_distance(conditioned.values[n], tilted, grid) < 1e-3
 
 
+class TestSurfaceMemory:
+    """A solve holds one surface: the march fills the caller's buffer and
+    the clamp runs in place, so the peak stays well below two surfaces."""
+
+    GRID = SpatialGrid(-1.0, 2.5, 400)
+    TIMES = TimeGrid(0.0, 10.0, 1000)
+
+    @pytest.mark.parametrize("solver, source", [
+        (solve_forward, 0.2402),
+        (solve_backward, 1.0687),
+        (solve_endpoint_conditioned, 1.0687),
+    ], ids=["forward", "backward", "conditioned"])
+    def test_peak_below_one_and_a_half_surfaces(self, solver, source):
+        tracemalloc.start()
+        try:
+            surface = solver(CESSI, 0.2, self.GRID, self.TIMES, source)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * surface.values.nbytes
+
+
 def banded_reference(lower, diag, upper, init, times):
     """Theta-scheme sweep that re-factors its matrix with solve_banded at
     every step and forms the right-hand side with the explicit matrix:
@@ -364,18 +388,21 @@ class TestSolverGuards:
         (RANNACHER_STEPS, 1.0, "backward-Euler"),
         (0, 0.5, "Crank-Nicolson"),
     ])
-    def test_singular_step_matrix_raises_solver_error(self, rannacher_steps,
+    def test_singular_step_matrix_raises_solver_error(self, monkeypatch,
+                                                      rannacher_steps,
                                                       weight, scheme):
         # a zero second pivot: the LHS diagonal 1 - weight*dt*diag reads
         # [1, 0, 1, 1, ...]; LAPACK reports it through info, not an exception
+        monkeypatch.setattr(fpe_mod, "RANNACHER_STEPS", rannacher_steps)
         grid = SpatialGrid(-1.0, 1.0, 64)
         times = TimeGrid(0.0, 1.0, 2)
         diag = np.zeros(grid.n_cells)
         diag[1] = 1.0 / (weight * times.dt)
         off = np.zeros(grid.n_cells - 1)
+        stored = np.empty((times.n_steps + 1, 1, grid.n_cells))
         with pytest.raises(SolverError, match=f"singular {scheme}"):
-            _sweep(off, diag, off, delta_init(grid, 0.0), times,
-                   rannacher_steps, check_mass=False, grid=grid)
+            _march_sources(off, diag, off, grid, times, delta_init(grid, 0.0),
+                           stored, check_mass=False)
 
 
 class TestSolverDivergence:
@@ -388,16 +415,21 @@ class TestSolverDivergence:
     SCHEMES = pytest.mark.parametrize("rannacher_steps", [RANNACHER_STEPS, 0],
                                       ids=["backward-Euler", "Crank-Nicolson"])
 
+    @pytest.fixture(autouse=True)
+    def startup_steps(self, monkeypatch, rannacher_steps):
+        monkeypatch.setattr(fpe_mod, "RANNACHER_STEPS", rannacher_steps)
+
     @classmethod
     def march(cls, lower, diag, upper, init, grid, rannacher_steps,
               check_mass):
         """Operator given by the step matrix's diagonals: with implicit
         weight w and dt = 1, A = I - w L, so L = (I - A) / w."""
         w = 1.0 if rannacher_steps else 0.5
+        stored = np.empty((cls.TIMES.n_steps + 1, 1, grid.n_cells))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _sweep(-lower / w, (1.0 - diag) / w, -upper / w, init, cls.TIMES,
-                   rannacher_steps, check_mass=check_mass, grid=grid)
+            _march_sources(-lower / w, (1.0 - diag) / w, -upper / w, grid,
+                           cls.TIMES, init, stored, check_mass=check_mass)
 
     @SCHEMES
     @pytest.mark.parametrize("check_mass", [True, False])

@@ -150,6 +150,16 @@ class TestNondimensionalize:
             nd = nondimensionalize(params, f_bar=2.0)
         assert nd.f_bar == 2.0
 
+    @pytest.mark.parametrize("name, value", [
+        ("f_bar", float("nan")), ("f_bar", float("inf")),
+        ("alpha", float("nan")), ("alpha", float("inf")), ("alpha", -1.0),
+        ("mu2", float("nan")), ("mu2", 0.0),
+    ])
+    def test_nondimensional_params_finite(self, name, value):
+        with pytest.raises(ModelError, match=name) as info:
+            NondimensionalParams(**{name: value})
+        assert info.value.name == name
+
     def test_error_when_flux_and_override_absent(self):
         with pytest.raises(ModelError, match="f_bar"):
             nondimensionalize(DimensionalParams())
