@@ -54,7 +54,7 @@ class BridgeSpec:
 
     y_start: float = 0.2402
     y_end: float = 1.0687
-    horizon: float = 10.0
+    horizon: float = TimeGrid.t_end - TimeGrid.t_start
 
     def __post_init__(self) -> None:
         if not (self.horizon > 0.0 and math.isfinite(self.horizon)):

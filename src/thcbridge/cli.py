@@ -13,26 +13,15 @@ import argparse
 import contextlib
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
-from .bridge import (
-    BridgeError,
-    BridgeSpec,
-    detect_jump,
-    solve_bridge,
-    sweep_noise,
-)
+from .bridge import BridgeError, detect_jump, solve_bridge, sweep_noise
 from .config import ConfigError, RunConfig, load_config
 from .fpe import GridError, RANNACHER_STEPS, SolverError, solve_backward, solve_forward
 from .model import DRIFTS, ModelError, find_equilibria
-from .montecarlo import (
-    RNG_ALGORITHM,
-    EnsembleConfig,
-    MonteCarloError,
-    euler_maruyama_ensemble,
-)
+from .montecarlo import RNG_ALGORITHM, MonteCarloError, euler_maruyama_ensemble
 from .output import (stored_steps, write_csv, write_json, write_long_csv,
                      write_surface_binary, write_surface_csv)
 from .validate import run_checks
@@ -64,7 +53,8 @@ class _Manifest:
     def set_config(self, config: RunConfig) -> None:
         self.data["config"] = config.as_dict()
         if config.drift == "cessi":
-            self.data["resolved_model"] = asdict(config.nondimensional())
+            nd = config.nondimensional()
+            self.data["resolved_model"] = {"f_bar": nd.f_bar, "mu2": nd.mu2}
 
     @contextlib.contextmanager
     def time_stage(self, name: str):
@@ -94,21 +84,10 @@ def _surface_diagnostics(manifest: _Manifest, name: str, surface) -> None:
 
 
 def _load(args) -> RunConfig:
-    direct = {}
-    if args.out is not None:
-        direct["out_dir"] = args.out
-    if args.seed is not None:
-        direct["seed"] = args.seed
-    if args.dump_every is not None:
-        direct["dump_every"] = args.dump_every
-    for name in ("eps", "start", "end"):
-        value = getattr(args, name, None)
-        if value is not None:
-            direct[{"eps": "epsilon", "start": "y_start", "end": "y_end"}[name]] = value
-    if getattr(args, "drift", None) is not None:
-        direct["drift"] = args.drift
-    if getattr(args, "eps_list", None) is not None:
-        direct["eps_list"] = args.eps_list
+    """Config file, then --param, then the flags that were set; each flag's
+    dest is the config key it sets."""
+    direct = {f_.name: getattr(args, f_.name) for f_ in fields(RunConfig)
+              if getattr(args, f_.name, None) is not None}
     return load_config(args.config, args.param, **direct)
 
 
@@ -162,10 +141,9 @@ def cmd_backward(config: RunConfig, manifest: _Manifest, args) -> int:
 
 def cmd_bridge_path(config: RunConfig, manifest: _Manifest, args) -> int:
     drift = config.drift_model()
-    spec = BridgeSpec(config.y_start, config.y_end, config.t_end)
     with manifest.time_stage("bridge"):
         forward, conditioned, path = solve_bridge(
-            drift, config.epsilon, spec, config.spatial_grid(),
+            drift, config.epsilon, config.bridge_spec(), config.spatial_grid(),
             config.time_grid())
         event = detect_jump(path, config.jump_threshold)
     _surface_diagnostics(manifest, "forward", forward)
@@ -190,9 +168,8 @@ def cmd_bridge_path(config: RunConfig, manifest: _Manifest, args) -> int:
 
 def cmd_sweep(config: RunConfig, manifest: _Manifest, args) -> int:
     drift = config.drift_model()
-    spec = BridgeSpec(config.y_start, config.y_end, config.t_end)
     with manifest.time_stage("sweep"):
-        records = sweep_noise(drift, spec, config.eps_list,
+        records = sweep_noise(drift, config.bridge_spec(), config.eps_list,
                               config.spatial_grid(), config.time_grid(),
                               config.jump_threshold)
     write_csv(manifest.out_dir / "sweep.csv",
@@ -214,9 +191,7 @@ def cmd_mc(config: RunConfig, manifest: _Manifest, args) -> int:
     drift = config.drift_model()
     grid = config.spatial_grid()
     times = config.time_grid()
-    cfg = EnsembleConfig(n_paths=config.n_paths, dt_sde=config.dt_sde,
-                         seed=config.seed,
-                         reflect_at_bounds=config.reflect_at_bounds)
+    cfg = config.ensemble_config()
     with manifest.time_stage("mc"):
         hist = euler_maruyama_ensemble(drift, config.epsilon, config.y_start,
                                        grid, times, cfg)
@@ -267,15 +242,19 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--param", action="append", default=[],
                         metavar="KEY=VALUE", help="override one config key "
                         "(repeatable; wins over the config file)")
-    common.add_argument("--out", help="output directory (default: out)")
+    common.add_argument("--out", dest="out_dir",
+                        help="output directory (default: out)")
     common.add_argument("--seed", type=int, help="RNG seed override")
     common.add_argument("--dump-every", type=int, dest="dump_every",
                         help="store every N-th time step (and the last) in dumps")
 
     model = argparse.ArgumentParser(add_help=False)
-    model.add_argument("--eps", type=float, help="noise intensity override")
-    model.add_argument("--start", type=float, help="start state override")
-    model.add_argument("--end", type=float, help="end state override")
+    model.add_argument("--eps", type=float, dest="epsilon",
+                       help="noise intensity override")
+    model.add_argument("--start", type=float, dest="y_start",
+                       help="start state override")
+    model.add_argument("--end", type=float, dest="y_end",
+                       help="end state override")
     model.add_argument("--drift", choices=tuple(DRIFTS),
                        help="drift model override")
 
@@ -315,7 +294,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    out_dir = Path(args.out) if args.out is not None else None
+    out_dir = Path(args.out_dir) if args.out_dir is not None else None
     manifest = _Manifest(args.command, out_dir or Path("out"))
     try:
         config = _load(args)

@@ -4,8 +4,10 @@ The configuration is a flat key set: one :class:`RunConfig` field per key,
 each raw value coerced to its field's annotated type (``None`` only where
 the field is ``| None``).  Nondimensional parameters (f_bar, mu2) are the
 default route; supplying dimensional keys plus a freshwater flux derives
-them instead, and mixing both makes f_bar win with a warning.  Unset model
-keys take the defaults of :mod:`thcbridge.model`.
+them instead, and mixing both makes f_bar win with a warning.  Every key
+reaches the run: unset model keys take the defaults of
+:mod:`thcbridge.model`, the others the defaults of the solver inputs they
+build (grids, bridge endpoints, Monte Carlo ensemble).
 """
 
 from __future__ import annotations
@@ -16,9 +18,11 @@ import typing
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
+from .bridge import DEFAULT_JUMP_THRESHOLD, BridgeSpec
 from .fpe import SpatialGrid, TimeGrid
 from .model import (
     DRIFTS,
+    YEAR_SECONDS,
     CessiReduced,
     DimensionalParams,
     DoubleWell,
@@ -28,24 +32,21 @@ from .model import (
     NondimensionalParams,
     nondimensionalize,
 )
+from .montecarlo import EnsembleConfig
 
 DEFAULT_EPS_LIST = tuple(round(0.18 + 0.01 * i, 2) for i in range(13))
 
-# Dimensional keys: config name -> DimensionalParams.from_units argument.
+# Dimensional keys: config name -> (DimensionalParams field, SI value of one
+# unit of the key).  Only the time scales are not given in SI units.
 _DIMENSIONAL_KEYS = {
-    "t_d_years": "t_d_years",
-    "t_r_days": "t_r_days",
-    "t_a_years": "t_a_years",
-    "t0": "reference_temperature",
-    "s0": "reference_salinity",
-    "rho0": "reference_density",
-    "q": "transport_coefficient",
-    "alpha_s": "salinity_coefficient",
-    "alpha_t": "thermal_expansion",
-    "theta": "temperature_difference",
-    "h": "ocean_depth",
-    "v": "control_volume",
-    "f": "freshwater_flux",
+    "t_d_years": ("diffusion_time", YEAR_SECONDS),
+    "t_a_years": ("advection_time", YEAR_SECONDS),
+    "s0": ("reference_salinity", 1.0),
+    "alpha_s": ("salinity_coefficient", 1.0),
+    "alpha_t": ("thermal_expansion", 1.0),
+    "theta": ("temperature_difference", 1.0),
+    "h": ("ocean_depth", 1.0),
+    "f": ("freshwater_flux", 1.0),
 }
 
 # Constructor argument of the non-Cessi drifts -> the config key that sets it.
@@ -68,20 +69,14 @@ class RunConfig:
     # dimensional keys, unset f_bar/mu2 take NondimensionalParams' defaults.
     f_bar: float | None = None
     mu2: float | None = None
-    alpha: float = NondimensionalParams.alpha
     # model (dimensional route)
     t_d_years: float | None = None
-    t_r_days: float | None = None
     t_a_years: float | None = None
-    t0: float | None = None
     s0: float | None = None
-    rho0: float | None = None
-    q: float | None = None
     alpha_s: float | None = None
     alpha_t: float | None = None
     theta: float | None = None
     h: float | None = None
-    v: float | None = None
     f: float | None = None
     # drift selection (cessi uses f_bar/mu2; others for oracles)
     drift: str = "cessi"
@@ -89,24 +84,24 @@ class RunConfig:
     drift_b: float = DoubleWell.b
     drift_rate: float = LinearOU.rate
     # grids
-    y_min: float = -1.0
-    y_max: float = 2.5
-    n_cells: int = 800
-    t_end: float = 10.0
-    n_steps: int = 4000
+    y_min: float = SpatialGrid.y_min
+    y_max: float = SpatialGrid.y_max
+    n_cells: int = SpatialGrid.n_cells
+    t_end: float = TimeGrid.t_end
+    n_steps: int = TimeGrid.n_steps
     # noise
     epsilon: float = 0.20
     eps_list: tuple[float, ...] = DEFAULT_EPS_LIST
     # bridge
-    y_start: float = 0.2402
-    y_end: float = 1.0687
-    jump_threshold: float = 0.3
+    y_start: float = BridgeSpec.y_start
+    y_end: float = BridgeSpec.y_end
+    jump_threshold: float = DEFAULT_JUMP_THRESHOLD
     # monte carlo
-    n_paths: int = 100_000
-    dt_sde: float = 1e-3
-    reflect_at_bounds: bool = True
+    n_paths: int = EnsembleConfig.n_paths
+    dt_sde: float = EnsembleConfig.dt_sde
+    reflect_at_bounds: bool = EnsembleConfig.reflect_at_bounds
     # run control
-    seed: int = 0
+    seed: int = EnsembleConfig.seed
     out_dir: str = "out"
     dump_every: int = 1
 
@@ -122,20 +117,33 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError("n_steps", str(exc)) from exc
 
+    def bridge_spec(self) -> BridgeSpec:
+        return BridgeSpec(self.y_start, self.y_end, self.t_end)
+
+    def ensemble_config(self) -> EnsembleConfig:
+        return EnsembleConfig(**{f_.name: getattr(self, f_.name)
+                                 for f_ in fields(EnsembleConfig)})
+
     def nondimensional(self) -> NondimensionalParams:
         """Resolve (f_bar, alpha, mu2), deriving from dimensional keys if given."""
-        dimensional = {arg: getattr(self, key)
-                       for key, arg in _DIMENSIONAL_KEYS.items()
+        dimensional = {key: getattr(self, key) for key in _DIMENSIONAL_KEYS
                        if getattr(self, key) is not None}
         given = {key: getattr(self, key) for key in ("f_bar", "mu2")
                  if getattr(self, key) is not None}
         try:
             if not dimensional:
-                return NondimensionalParams(alpha=self.alpha, **given)
-            params = DimensionalParams.from_units(**dimensional)
+                return NondimensionalParams(**given)
+            params = DimensionalParams(**{
+                _DIMENSIONAL_KEYS[key][0]: value * _DIMENSIONAL_KEYS[key][1]
+                for key, value in dimensional.items()})
             nd = nondimensionalize(params, f_bar=self.f_bar)
             return nd if self.mu2 is None else replace(nd, mu2=self.mu2)
         except ModelError as exc:
+            # a dimensional field is named by the key that set it, in its units
+            for key, value in dimensional.items():
+                if _DIMENSIONAL_KEYS[key][0] == exc.name:
+                    raise ConfigError(key, f"must be strictly positive, "
+                                      f"got {value!r}") from exc
             # a given key is named as is; anything derived comes from "f"
             key = exc.name if exc.name in given or not dimensional else "f"
             raise ConfigError(key, str(exc)) from exc

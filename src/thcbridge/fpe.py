@@ -478,7 +478,7 @@ def hitting_probability(drift, eps, grid: SpatialGrid, y_start: float,
     which is how it is computed; edge cells enter with their covered
     fraction.
     """
-    if window <= 0.0:
+    if not window > 0.0:
         raise GridError(f"window must be positive, got {window}")
     times = TimeGrid(t_start, t_end, n_steps)
     surface = solve_forward(drift, eps, grid, times, y_start)

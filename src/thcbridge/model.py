@@ -35,8 +35,7 @@ class ModelError(ValueError):
 class DimensionalParams:
     """Physical constants of the two-box circulation model, SI units.
 
-    Times are stored in seconds; use :meth:`from_units` to build from the
-    customary year/day inputs.  ``reference_temperature`` and
+    Times are stored in seconds.  ``reference_temperature`` and
     ``reference_density`` are carried for completeness but feed no dynamics.
     """
 
@@ -68,21 +67,8 @@ class DimensionalParams:
         }
         for name, value in positive.items():
             if not (value > 0.0 and math.isfinite(value)):
-                raise ModelError(f"{name} must be strictly positive, got {value!r}")
-
-    @classmethod
-    def from_units(cls, *, t_d_years: float | None = None,
-                   t_r_days: float | None = None,
-                   t_a_years: float | None = None,
-                   **kwargs) -> "DimensionalParams":
-        """Build params with the time scales given in years/days; an
-        unset time scale keeps its field default."""
-        scaled = {"diffusion_time": (t_d_years, YEAR_SECONDS),
-                  "relaxation_time": (t_r_days, DAY_SECONDS),
-                  "advection_time": (t_a_years, YEAR_SECONDS)}
-        return cls(**{name: value * unit
-                      for name, (value, unit) in scaled.items()
-                      if value is not None}, **kwargs)
+                raise ModelError(f"{name} must be strictly positive, got {value!r}",
+                                 name)
 
     def advection_time_from_geometry(self) -> float:
         """Advection time V / (q (alpha_T theta)^2) implied by the transport geometry.

@@ -66,7 +66,11 @@ class HittingEstimate(NamedTuple):
 
 
 def _snap_steps(duration: float, dt: float) -> int:
-    n = int(round(duration / dt))
+    steps = duration / dt
+    if not math.isfinite(steps):
+        raise GridError(f"duration {duration} is not a finite number of "
+                        f"dt_sde {dt} steps")
+    n = int(round(steps))
     if n < 1 or abs(n * dt - duration) > 1e-9 * max(1.0, abs(duration)):
         raise GridError(f"duration {duration} is not a multiple of dt_sde {dt}")
     return n
@@ -231,9 +235,9 @@ def estimate_hitting_probability(drift, eps, y: float, t: float, y3: float,
     is given, paths respect its boundary policy (reflect or drop); dropped
     paths count as misses.
     """
-    if window <= 0.0:
+    if not window > 0.0:
         raise GridError(f"window must be positive, got {window}")
-    if t >= horizon:
+    if not t < horizon:
         raise GridError(f"start time {t} must precede horizon {horizon}")
     bounds = (grid.y_min, grid.y_max) if grid is not None else None
     final = terminal_samples(drift, eps, y, horizon - t, cfg, bounds)

@@ -24,12 +24,8 @@ from .fpe import (
     stationary_density,
 )
 from .model import CessiReduced, DoubleWell, LinearOU, ZeroDrift, find_equilibria
-from .montecarlo import (
-    EnsembleConfig,
-    estimate_hitting_probability,
-    euler_maruyama_ensemble,
-    l1_distance,
-)
+from .montecarlo import (estimate_hitting_probability, euler_maruyama_ensemble,
+                         l1_distance)
 
 
 @dataclass(frozen=True)
@@ -44,10 +40,6 @@ class CheckResult:
         return {"name": self.name, "measured": self.measured,
                 "tolerance": self.tolerance, "passed": self.passed,
                 "detail": self.detail}
-
-
-def _bridge_spec(config: RunConfig) -> BridgeSpec:
-    return BridgeSpec(config.y_start, config.y_end, config.t_end)
 
 
 def check_mass(config: RunConfig) -> CheckResult:
@@ -70,7 +62,7 @@ def check_chapman_kolmogorov(config: RunConfig) -> CheckResult:
     for eps in (0.20, 0.25):
         fwd = solve_forward(drift, eps, grid, times, config.y_start)
         bwd = solve_backward(drift, eps, grid, times, config.y_end)
-        pairing = (fwd.values * bwd.values).sum(axis=1) * grid.spacing
+        pairing = np.einsum("ij,ij->i", fwd.values, bwd.values) * grid.spacing
         lo = int(round(0.1 * times.n_steps))
         hi = int(round(0.9 * times.n_steps))
         window = pairing[lo:hi + 1]
@@ -98,7 +90,7 @@ def check_ou_mean(_config: RunConfig) -> CheckResult:
     times = TimeGrid(0.0, 2.0, 800)
     rate = 1.0
     surface = solve_forward(LinearOU(rate), 0.3, grid, times, 1.0)
-    means = (surface.values * grid.nodes).sum(axis=1) * grid.spacing
+    means = surface.values @ grid.nodes * grid.spacing
     exact = np.exp(-rate * times.nodes)
     measured = float(np.abs(means - exact).max())
     return CheckResult("ou-mean", measured, 1e-3, measured <= 1e-3)
@@ -180,7 +172,7 @@ def check_grid_convergence(config: RunConfig) -> CheckResult:
 def check_resolution_stability(config: RunConfig) -> CheckResult:
     """Doubling both resolutions moves the jump time by at most 2 dt."""
     drift = config.drift_model()
-    spec = _bridge_spec(config)
+    spec = config.bridge_spec()
     grid = config.spatial_grid()
     times = config.time_grid()
     coarse_path = solve_path(drift, config.epsilon, spec, grid, times)
@@ -205,9 +197,7 @@ def check_mc_forward(config: RunConfig) -> CheckResult:
     drift = config.drift_model()
     eps = 0.2
     surface = solve_forward(drift, eps, grid, times, config.y_start)
-    cfg = EnsembleConfig(n_paths=config.n_paths, dt_sde=config.dt_sde,
-                         seed=config.seed,
-                         reflect_at_bounds=config.reflect_at_bounds)
+    cfg = config.ensemble_config()
     hist = euler_maruyama_ensemble(drift, eps, config.y_start, grid, times, cfg)
     measured = l1_distance(hist.densities[-1], surface.values[-1], grid)
     return CheckResult("mc-forward", measured, 0.05, measured <= 0.05,
@@ -226,9 +216,7 @@ def check_mc_hitting(config: RunConfig) -> CheckResult:
             start = equilibria[1].y
     t_mid = 0.5 * config.t_end
     window = 0.1
-    cfg = EnsembleConfig(n_paths=config.n_paths, dt_sde=config.dt_sde,
-                         seed=config.seed,
-                         reflect_at_bounds=config.reflect_at_bounds)
+    cfg = config.ensemble_config()
     estimate = estimate_hitting_probability(drift, eps, start, t_mid,
                                             config.y_end, config.t_end,
                                             window, cfg, grid=grid)

@@ -104,7 +104,7 @@ class TestBridgePath:
         assert jump["t_jump"] == pytest.approx(6.45, abs=0.1)
         assert jump["gap"] > 0.5
         manifest = read_manifest(out)
-        assert manifest["resolved_model"]["f_bar"] == 1.1
+        assert manifest["resolved_model"] == {"f_bar": 1.1, "mu2": 6.2}
         assert manifest["diagnostics"]["forward_clamp_violations"] == 0
 
     def test_default_resolution_jump_value(self, tmp_path):
@@ -284,8 +284,9 @@ class TestFailureModes:
          "f_bar"),
         (["sweep", "--eps-list", "0.2,nan"], "eps_list"),
         (["mc", "--param", "dt_sde=nan"], "dt_sde"),
+        (["equilibria", "--param", "t_d_years=-1"], "t_d_years"),
     ], ids=["jump_threshold", "f_bar", "derived-f_bar", "alpha", "validate",
-            "eps_list", "dt_sde"])
+            "eps_list", "dt_sde", "t_d_years"])
     def test_bad_number_exit_2_with_manifest(self, tmp_path, capsys, args, key):
         out = tmp_path / "bad"
         assert main([*args, "--out", str(out)]) == 2
@@ -293,6 +294,15 @@ class TestFailureModes:
         manifest = json.loads((out / "manifest.json").read_text())
         assert repr(key) in manifest["error"]["message"]
         assert not (out / "jump.json").exists()
+
+    @pytest.mark.parametrize("key", ["alpha", "t_r_days", "t0", "rho0", "q", "v"])
+    def test_dead_model_key_is_unknown(self, tmp_path, capsys, key):
+        out = tmp_path / "dead"
+        assert main(["equilibria", "--param", f"{key}=1", "--out", str(out)]) == 2
+        assert f"config key {key!r}: unknown" in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["error"]["stage"] == "config"
+        assert not (out / "equilibria.csv").exists()
 
     def test_boolean_seed_exit_2_with_manifest(self, tmp_path, capsys):
         path = tmp_path / "run.json"

@@ -1,12 +1,25 @@
 """Configuration loading, overrides and the two model-parameter routes."""
 
 import json
+import re
 import warnings
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
 from thcbridge.config import ConfigError, RunConfig, load_config, parse_param
-from thcbridge.model import CessiReduced, DoubleWell, LinearOU, ZeroDrift
+from thcbridge.model import DRIFTS, CessiReduced, DoubleWell, LinearOU, ZeroDrift
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# Every other RunConfig field is a model key.
+NON_MODEL_KEYS = {"drift", "y_min", "y_max", "n_cells", "t_end", "n_steps",
+                  "epsilon", "eps_list", "y_start", "y_end", "jump_threshold",
+                  "n_paths", "dt_sde", "reflect_at_bounds", "seed", "out_dir",
+                  "dump_every"}
+MODEL_KEYS = [f_.name for f_ in fields(RunConfig)
+              if f_.name not in NON_MODEL_KEYS]
 
 
 class TestDefaults:
@@ -93,6 +106,22 @@ class TestModelRoutes:
         config = load_config(overrides=["f=9.276982264146245e-08", "mu2=6.2"])
         assert config.nondimensional().mu2 == 6.2
 
+    @pytest.mark.parametrize("key", MODEL_KEYS)
+    def test_every_model_key_reaches_the_drift(self, key):
+        """Two values of a model key give two drifts on each route it is on."""
+        if key.startswith("drift_"):
+            bases = [{"drift": "ou" if key == "drift_rate" else "double-well"}]
+        elif key in ("f_bar", "mu2"):
+            bases = [{}, {"f": 1e-7}]
+        else:
+            bases = [{"f": 1e-7}]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")     # f_bar given next to f
+            for base in bases:
+                first, second = (RunConfig(**{**base, key: value}).drift_model()
+                                 for value in (2.0, 3.0))
+                assert first != second, base
+
 
 class TestValidation:
     def test_offending_key_reported(self):
@@ -124,7 +153,7 @@ class TestValidation:
 
     @pytest.mark.parametrize("override", [
         "epsilon=nan", "epsilon=inf", "jump_threshold=nan", "dt_sde=nan",
-        "eps_list=0.2,nan", "f_bar=nan", "alpha=-inf", "n_cells=inf",
+        "eps_list=0.2,nan", "f_bar=nan", "n_cells=inf",
     ])
     def test_non_finite_number_rejected(self, override):
         key = override.partition("=")[0]
@@ -138,19 +167,23 @@ class TestValidation:
         with pytest.raises(ConfigError, match=f"'{key}'"):
             load_config(path)
 
-    @pytest.mark.parametrize("fields, key", [
-        ({"alpha": -1.0}, "alpha"),
-        ({"mu2": float("nan")}, "mu2"),
-        ({"f_bar": float("inf")}, "f_bar"),
-        ({"f": 1e-7, "f_bar": float("nan")}, "f_bar"),
-        ({"f": 1e300}, "f"),
-    ], ids=["alpha", "mu2", "f_bar", "f_bar-next-to-f", "derived-f_bar"])
-    def test_nondimensional_names_the_key(self, fields, key):
+    @pytest.mark.parametrize("values, key, shown", [
+        ({"mu2": float("nan")}, "mu2", "got nan"),
+        ({"f_bar": float("inf")}, "f_bar", "got inf"),
+        ({"f": 1e-7, "f_bar": float("nan")}, "f_bar", "got nan"),
+        ({"f": 1e300}, "f", "got inf"),
+        ({"f": 1e-7, "t_d_years": -1.0}, "t_d_years", "got -1.0"),
+        ({"f": 1e-7, "t_a_years": 0.0}, "t_a_years", "got 0.0"),
+        ({"f": 1e-7, "h": -4500.0}, "h", "got -4500.0"),
+    ], ids=["mu2", "f_bar", "f_bar-next-to-f", "derived-f_bar", "t_d_years",
+            "t_a_years", "h"])
+    def test_nondimensional_names_the_key(self, values, key, shown):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")     # f_bar given next to f
             with pytest.raises(ConfigError, match="finite|positive") as info:
-                RunConfig(**fields).nondimensional()
+                RunConfig(**values).nondimensional()
         assert info.value.key == key
+        assert shown in str(info.value)
 
     def test_empty_eps_list_rejected(self):
         with pytest.raises(ConfigError, match="eps_list"):
@@ -163,3 +196,11 @@ class TestValidation:
     def test_as_dict_round_trips_json(self):
         payload = load_config().as_dict()
         assert json.loads(json.dumps(payload)) == payload
+
+
+def test_readme_lists_exactly_the_config_keys():
+    section = README.read_text().split("### Configuration keys", 1)[1]
+    section = section.split("\n#", 1)[0]
+    literals = set(DRIFTS) | {"null", "nan", "inf", "true", "false"}
+    named = set(re.findall(r"`([^`]+)`", section)) - literals
+    assert named == {f_.name for f_ in fields(RunConfig)}

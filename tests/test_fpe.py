@@ -507,6 +507,7 @@ class TestHittingProbability:
 
     def test_window_validation(self):
         grid = SpatialGrid(-1.0, 2.5, 400)
-        with pytest.raises(GridError):
-            hitting_probability(CESSI, 0.2, grid, 0.2402, 0.0, 1.0, 100,
-                                1.0687, 0.0)
+        for window in (0.0, float("nan")):
+            with pytest.raises(GridError, match="window"):
+                hitting_probability(CESSI, 0.2, grid, 0.2402, 0.0, 1.0, 100,
+                                    1.0687, window)

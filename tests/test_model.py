@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 import thcbridge
 from thcbridge.model import (
+    DAY_SECONDS,
+    YEAR_SECONDS,
     BoxState2D,
     CessiReduced,
     DimensionalParams,
@@ -59,10 +61,12 @@ class TestDimensionalParams:
         assert table_params.advection_time == pytest.approx(35 * 365.25 * 86400)
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ModelError, match="ocean_depth"):
+        with pytest.raises(ModelError, match="ocean_depth") as info:
             DimensionalParams(ocean_depth=0.0)
-        with pytest.raises(ModelError, match="salinity_coefficient"):
+        assert info.value.name == "ocean_depth"
+        with pytest.raises(ModelError, match="salinity_coefficient") as info:
             DimensionalParams(salinity_coefficient=-1e-4)
+        assert info.value.name == "salinity_coefficient"
 
     def test_geometry_advection_time_near_table_value(self, table_params):
         # V/(q (alpha_T theta)^2) ~ 34.5 yr vs the tabulated 35 yr
@@ -137,7 +141,8 @@ class TestNondimensionalize:
         assert nd.mu2 == pytest.approx(219 / 35, rel=1e-12)  # ~6.257
 
     def test_identity_ratio(self):
-        params = DimensionalParams.from_units(t_d_years=1.0, t_r_days=365.25)
+        params = DimensionalParams(diffusion_time=YEAR_SECONDS,
+                                   relaxation_time=365.25 * DAY_SECONDS)
         assert nondimensionalize(params, f_bar=0.5).alpha == pytest.approx(1.0)
 
     def test_f_bar_derived_from_flux(self):

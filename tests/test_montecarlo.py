@@ -243,9 +243,18 @@ class TestHitting:
 
     def test_start_after_horizon_rejected(self):
         cfg = EnsembleConfig(n_paths=100, dt_sde=1e-3, seed=0)
-        with pytest.raises(GridError):
-            estimate_hitting_probability(CESSI, 0.2, 0.5, 10.0, 1.0687, 10.0,
-                                         0.1, cfg)
+        # -inf leaves an infinite duration, which no step count snaps to
+        for t in (10.0, float("nan"), -float("inf")):
+            with pytest.raises(GridError):
+                estimate_hitting_probability(CESSI, 0.2, 0.5, t, 1.0687, 10.0,
+                                             0.1, cfg)
+
+    def test_window_validation(self):
+        cfg = EnsembleConfig(n_paths=100, dt_sde=1e-3, seed=0)
+        for window in (0.0, float("nan")):
+            with pytest.raises(GridError, match="window"):
+                estimate_hitting_probability(CESSI, 0.2, 0.5, 5.0, 1.0687,
+                                             10.0, window, cfg)
 
 
 @pytest.mark.slow
