@@ -10,8 +10,9 @@ The abrupt transition shows up as a single step where that argmax flips.
 
 :func:`solve_bridge` returns both surfaces with the path.
 :func:`solve_path` gives the same path, bit for bit, from one fused march
-of both factors that stores half of their slices; the noise sweep runs its
-rows through it on a thread pool.
+of both factors that stores half of their slices; the ``bridge-path``
+command runs it, and the noise sweep runs its rows through it on a thread
+pool.
 """
 
 from __future__ import annotations
@@ -68,6 +69,7 @@ class MLPath:
     times: np.ndarray
     psi: np.ndarray
     refinement: str     # "grid-argmax" or "quadratic-subgrid"
+    max_mass_drift: float | None = None  # solve_path: worst |spacing*sum - 1|
 
 
 @dataclass(frozen=True)
@@ -279,11 +281,11 @@ def solve_path(drift, eps, spec: BridgeSpec, grid: SpatialGrid,
     slices 0..n//2 of both are stored, about one surface of memory.  Each
     later step m folds into slot s = n - m: column 0 becomes row s
     (p_s * r_m) and column 1 row m (r_s * p_m); for even n the middle slot
-    pairs with itself.  Each slice is clamped in place just before its
-    product, as ``solve_forward`` clamps its slices; the underflow guard and
-    the refined argmax are those of :func:`ml_path`, and failures raise the exception and message
+    pairs with itself.  The underflow guard and the refined argmax are
+    those of :func:`ml_path`, and failures raise the exception and message
     :func:`solve_bridge` gives: the march from ``y_start`` before the one
-    from ``y_end``, the earliest slice first.
+    from ``y_end``, the earliest slice first.  The path carries the fused
+    march's worst mass drift over both factors.
     """
     _check_spec(spec, grid, times)
     n = times.n_steps
@@ -295,19 +297,17 @@ def solve_path(drift, eps, spec: BridgeSpec, grid: SpatialGrid,
     def fold(first, rows):
         m = np.arange(first, first + len(rows))
         paired = slots[n - m[-1]:n - first + 1][::-1]    # slot n - m per row
-        np.maximum(paired, 0.0, out=paired)
-        np.maximum(rows, 0.0, out=rows)
         empty[n - m], disjoint[n - m] = _guarded_product(
             paired[:, 0], rows[:, 1], out=paired[:, 0])
         empty[m], disjoint[m] = _guarded_product(
             paired[:, 1], rows[:, 0], out=paired[:, 1])
 
-    _march_sources(*_forward_operator(drift, eps, grid), grid, times,
-                   [delta_init(grid, spec.y_start), delta_init(grid, spec.y_end)],
-                   slots, check_mass=True, fold=fold)
+    max_mass_drift = _march_sources(
+        *_forward_operator(drift, eps, grid), grid, times,
+        [delta_init(grid, spec.y_start), delta_init(grid, spec.y_end)],
+        slots, check_mass=True, fold=fold)
     if n % 2 == 0:
         middle = slots[half:]
-        np.maximum(middle, 0.0, out=middle)
         empty[half:half + 1], disjoint[half:half + 1] = _guarded_product(
             middle[:, 0], middle[:, 1], out=middle[:, 0])
     _raise_failed_slice(empty, disjoint)
@@ -316,7 +316,8 @@ def solve_path(drift, eps, spec: BridgeSpec, grid: SpatialGrid,
     psi[half + 1:] = _row_peaks(slots[:n - half, 1], grid)[::-1]
     psi[0], psi[-1] = spec.y_start, spec.y_end
     psi.setflags(write=False)
-    return MLPath(times=times.nodes, psi=psi, refinement="quadratic-subgrid")
+    return MLPath(times=times.nodes, psi=psi, refinement="quadratic-subgrid",
+                  max_mass_drift=max_mass_drift)
 
 
 def _sweep_row(drift, spec: BridgeSpec, grid: SpatialGrid, times: TimeGrid,

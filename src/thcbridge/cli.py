@@ -17,9 +17,9 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
-from .bridge import BridgeError, detect_jump, solve_bridge, sweep_noise
+from .bridge import BridgeError, detect_jump, solve_path, sweep_noise
 from .config import ConfigError, RunConfig, load_config
-from .fpe import GridError, RANNACHER_STEPS, SolverError, solve_backward, solve_forward
+from .fpe import PDE_SCHEME, GridError, SolverError, solve_backward, solve_forward
 from .model import DRIFTS, ModelError, find_equilibria
 from .montecarlo import RNG_ALGORITHM, MonteCarloError, euler_maruyama_ensemble
 from .output import (stored_steps, write_csv, write_json, write_long_csv,
@@ -31,8 +31,6 @@ EXIT_CONFIG = 2
 EXIT_NO_JUMP = 3
 EXIT_SOLVER = 4
 EXIT_VALIDATION = 5
-
-PDE_SCHEME = f"flux-form-central/crank-nicolson/rannacher-{RANNACHER_STEPS}"
 
 
 class _Manifest:
@@ -75,14 +73,6 @@ class _Manifest:
         write_json(self.out_dir / "manifest.json", self.data)
 
 
-def _surface_diagnostics(manifest: _Manifest, name: str, surface) -> None:
-    manifest.diagnose(f"{name}_clamped_nodes", surface.clamped_nodes)
-    manifest.diagnose(f"{name}_clamp_violations", surface.clamp_violations)
-    manifest.diagnose(f"{name}_min_pre_clamp", surface.min_pre_clamp)
-    if surface.max_mass_drift is not None:
-        manifest.diagnose(f"{name}_max_mass_drift", surface.max_mass_drift)
-
-
 def _load(args) -> RunConfig:
     """Config file, then --param, then the flags that were set; each flag's
     dest is the config key it sets."""
@@ -116,7 +106,8 @@ def _dump_surface(config: RunConfig, manifest: _Manifest, args, kind: str) -> in
     source = config.y_start if kind == "forward" else config.y_end
     with manifest.time_stage(kind):
         surface = solver(drift, config.epsilon, grid, times, source)
-    _surface_diagnostics(manifest, kind, surface)
+    if surface.max_mass_drift is not None:
+        manifest.diagnose(f"{kind}_max_mass_drift", surface.max_mass_drift)
     value_name = "p" if kind == "forward" else "g"
     if args.format == "binary":
         write_surface_binary(manifest.out_dir / f"{kind}.bin",
@@ -142,12 +133,10 @@ def cmd_backward(config: RunConfig, manifest: _Manifest, args) -> int:
 def cmd_bridge_path(config: RunConfig, manifest: _Manifest, args) -> int:
     drift = config.drift_model()
     with manifest.time_stage("bridge"):
-        forward, conditioned, path = solve_bridge(
-            drift, config.epsilon, config.bridge_spec(), config.spatial_grid(),
-            config.time_grid())
+        path = solve_path(drift, config.epsilon, config.bridge_spec(),
+                          config.spatial_grid(), config.time_grid())
         event = detect_jump(path, config.jump_threshold)
-    _surface_diagnostics(manifest, "forward", forward)
-    _surface_diagnostics(manifest, "conditioned", conditioned)
+    manifest.diagnose("path_max_mass_drift", path.max_mass_drift)
     write_csv(manifest.out_dir / "ml_path.csv", ["t", "psi"],
               zip(path.times, path.psi))
     jump_payload = {"epsilon": config.epsilon, "threshold": config.jump_threshold,

@@ -3,16 +3,17 @@
 The forward equation evolves the transition density p(y, t | y1, 0) of the
 SDE dY = f(Y) dt + eps dB from a point source; the backward equation evolves
 g(y, t) = p(y3, T | y, t) from a terminal point target.  Both are solved on
-a fixed cell-centered grid with a conservative flux-form discretization,
-reflecting (zero-flux) boundaries and Crank-Nicolson time stepping.  The
+a fixed cell-centered grid with a conservative flux-form discretization
+(the exponentially fitted Scharfetter-Gummel flux), reflecting (zero-flux)
+boundaries and Crank-Nicolson time stepping.  The
 step matrices never change during a solve, so each scheme's tridiagonal
 matrix is LU-factored once (LAPACK ``dgttrf``) and every step is one
 in-place triangular solve against those factors (``dgttrs``).  Every solve
 runs through one march driver, :func:`_march_sources`: several point
 sources under one generator march as the columns of one right-hand side,
 one ``dgttrs`` call per step, with each column's bits unchanged; the
-caller's buffer holds the slices it stores, and a surface is clamped in
-that buffer.
+caller's buffer holds the slices it stores.  The generator is an M-matrix,
+so a negative slice is a solver failure, not roundoff to clean up.
 
 The backward operator is the exact transpose of the forward one, which makes
 the discrete pairing integral(g * p) dy constant in time (the discrete
@@ -35,11 +36,15 @@ from scipy.linalg.lapack import dgttrf, dgttrs
 # initial data; a few strongly damped steps remove that transient.
 RANNACHER_STEPS = 24
 
+PDE_SCHEME = ("flux-form-scharfetter-gummel/crank-nicolson/"
+              f"rannacher-{RANNACHER_STEPS}")
+
 MASS_ABORT_TOLERANCE = 1e-4
 
 
 class SolverError(RuntimeError):
-    """Scheme divergence: non-finite values or unacceptable mass drift."""
+    """Scheme divergence: non-finite or negative values, or unacceptable
+    mass drift."""
 
 
 class GridError(ValueError):
@@ -152,9 +157,6 @@ class DensitySurface:
     values: np.ndarray
     kind: str                       # "forward", "backward", "conditioned", ...
     source: float | None = None     # delta location (start or target state)
-    clamped_nodes: int = 0          # stored values lifted from negative to 0
-    clamp_violations: int = 0       # raw values below the -1e-12 tolerance
-    min_pre_clamp: float = 0.0      # most negative raw value seen
     max_mass_drift: float | None = None  # forward solves: max |spacing*sum - 1|
 
     def slice_at(self, t: float) -> np.ndarray:
@@ -205,13 +207,26 @@ def delta_init(grid: SpatialGrid, y0: float) -> np.ndarray:
 
 # --- operator construction ---------------------------------------------------
 
+def _bernoulli(x: np.ndarray) -> np.ndarray:
+    """B(x) = x / (e^x - 1), with B(0) = 1; B(x) underflows to 0 once e^x
+    overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = x / np.expm1(x)
+    b[x == 0.0] = 1.0
+    return b
+
+
 def _forward_operator(drift, eps, grid: SpatialGrid):
     """Tridiagonal generator L of the flux-form forward equation.
 
-    dp_i/dt = (F_i - F_{i+1}) / h with face fluxes
-    F = f_face * (p_left + p_right)/2 - D (p_right - p_left)/h and zero flux
-    through the domain boundaries.  Columns of L sum to zero, so both Euler
-    and Crank-Nicolson updates conserve spacing*sum(p) exactly.
+    dp_i/dt = (F_i - F_{i+1}) / h with the Scharfetter-Gummel face fluxes
+    F = (D/h) (B(-a) p_left - B(a) p_right), a = f_face h / D, D = eps^2/2,
+    and zero flux through the domain boundaries.  Both off-diagonals
+    (D/h^2) B(-+a) are positive for every drift, so L is an M-matrix, and
+    L[i+1, i] / L[i, i+1] = e^a: exact discrete detailed balance with
+    respect to pi_d, log pi_d = cumsum(a).  Without drift it is the central
+    diffusion flux.  Columns of L sum to zero, so both Euler and
+    Crank-Nicolson updates conserve spacing*sum(p).
 
     Returns (lower, diag, upper) with lower[i] = L[i+1, i], upper[i] = L[i, i+1].
     """
@@ -219,14 +234,14 @@ def _forward_operator(drift, eps, grid: SpatialGrid):
     d_coef = 0.5 * _as_noise(eps).epsilon**2
     f_face = np.asarray(drift.drift(grid.faces[1:-1]), dtype=float)  # interior faces
 
-    adv = f_face / (2.0 * h)
+    a = f_face * h / d_coef
     dif = d_coef / h**2
-
-    lower = adv + dif          # L[i+1, i]
-    upper = -adv + dif         # L[i, i+1]
+    # each from its own expm1: B(-a) = B(a) + a cancels for large |a|
+    lower = dif * _bernoulli(-a)   # L[i+1, i]
+    upper = dif * _bernoulli(a)    # L[i, i+1]
     diag = np.zeros(grid.n_cells)
-    diag[:-1] -= adv + dif     # outflow through the right face
-    diag[1:] += adv - dif      # outflow through the left face
+    diag[:-1] -= lower             # outflow through the right face
+    diag[1:] -= upper              # outflow through the left face
     return lower, diag, upper
 
 
@@ -283,13 +298,13 @@ def _march(buf: np.ndarray, step0: int, n_start: int, be, cn) -> None:
 
 
 def _step_checks(rows: np.ndarray, grid: SpatialGrid, check_mass: bool):
-    """(masses, failing, finite) per marched slice of ``rows`` (steps,
-    sources, n_cells).
+    """(masses, failing, finite, negative) per marched slice of ``rows``
+    (steps, sources, n_cells).
 
     A slice fails when it is not finite or, with ``check_mass``, when its
-    mass drifts from one by more than MASS_ABORT_TOLERANCE.  A finite row
-    sum means a finite slice, so only slices with a non-finite sum are read
-    again.
+    mass drifts from one by more than MASS_ABORT_TOLERANCE; it is negative
+    when it holds a value below zero.  A finite row sum means a finite
+    slice, so only slices with a non-finite sum are read again.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         masses = grid.spacing * rows.sum(axis=-1)
@@ -298,13 +313,15 @@ def _step_checks(rows: np.ndarray, grid: SpatialGrid, check_mass: bool):
         failing = ~finite
         if check_mass:
             failing |= np.abs(masses - 1.0) > MASS_ABORT_TOLERANCE
-    return masses, failing, finite
+        negative = rows.min(axis=-1) < 0.0
+    return masses, failing, finite, negative
 
 
-def _raise_first_failure(masses, failing, finite, times: TimeGrid) -> None:
-    """SolverError for the first failing step of one source's march
-    (arrays over steps 1..n_steps); a non-finite slice wins over mass
-    drift."""
+def _raise_first_failure(masses, failing, finite, negative,
+                         times: TimeGrid) -> None:
+    """SolverError for one source's march (arrays over steps 1..n_steps):
+    its first failing step, a non-finite slice winning over mass drift,
+    else its first negative step."""
     failed = np.flatnonzero(failing)
     if failed.size:
         n = int(failed[0]) + 1
@@ -312,6 +329,11 @@ def _raise_first_failure(masses, failing, finite, times: TimeGrid) -> None:
             raise SolverError(f"non-finite density at step {n} "
                               f"(t={times.t_start + n * times.dt:g})")
         raise SolverError(f"mass drifted to {masses[n - 1]:.6g} at step {n}")
+    failed = np.flatnonzero(negative)
+    if failed.size:
+        n = int(failed[0]) + 1
+        raise SolverError(f"negative density at step {n} "
+                          f"(t={times.t_start + n * times.dt:g})")
 
 
 # Steps per pass of the unstored part of a march: big enough that the
@@ -334,16 +356,17 @@ def _march_sources(lower, diag, upper, grid: SpatialGrid, times: TimeGrid,
     ``fold(first_step, rows)``, which may overwrite them; the march goes on
     from its own copy of the last slice.
 
-    Every step gets the finite check and, with ``check_mass``, the mass
-    check.  Once a step has failed no further rows are folded; after the
-    march the first failing step of the first failing source raises its
-    SolverError.  Returns the worst mass drift max |spacing * sum - 1|.
+    Every step gets the finite and sign checks and, with ``check_mass``,
+    the mass check.  Once a step has failed no further rows are folded;
+    after the march the first failing source raises the SolverError of
+    :func:`_raise_first_failure`.  Returns the worst mass drift
+    max |spacing * sum - 1|.
     """
     n_start, be, cn = _step_factors(lower, diag, upper, times)
     stored[0] = inits
     _march(stored, 0, n_start, be, cn)
     checks = [_step_checks(stored[1:], grid, check_mass)]
-    failed = checks[0][1].any()
+    failed = checks[0][1].any() or checks[0][3].any()
     first = len(stored) - 1                 # the step held in buf[0]
     buf = np.empty((min(_CHUNK_STEPS, times.n_steps - first) + 1,
                     *stored.shape[1:]))
@@ -352,46 +375,32 @@ def _march_sources(lower, diag, upper, grid: SpatialGrid, times: TimeGrid,
         rows = buf[:min(_CHUNK_STEPS, times.n_steps - first) + 1]
         _march(rows, first, n_start, be, cn)
         checks.append(_step_checks(rows[1:], grid, check_mass))
-        failed = failed or checks[-1][1].any()
+        failed = failed or checks[-1][1].any() or checks[-1][3].any()
         buf[0] = rows[-1]
         if not failed:
             fold(first + 1, rows[1:])
         first += len(rows) - 1
-    masses, failing, finite = (np.concatenate(a) for a in zip(*checks))
+    masses, *flags = (np.concatenate(a) for a in zip(*checks))
     for c in range(masses.shape[1]):
-        _raise_first_failure(masses[:, c], failing[:, c], finite[:, c], times)
+        _raise_first_failure(masses[:, c], *(f[:, c] for f in flags), times)
     return float(np.abs(masses - 1.0).max())
 
 
-CLAMP_TOLERANCE = -1e-12
-
-
-def _package(raw: np.ndarray, grid: SpatialGrid, times: TimeGrid, kind: str,
-             source: float, max_mass_drift: float | None = None
-             ) -> DensitySurface:
-    """The surface of ``raw``, its negative values counted and then
-    clamped to zero in place."""
-    min_raw = float(raw.min())
-    negatives = int(np.count_nonzero(raw < 0.0)) if min_raw < 0.0 else 0
-    violations = (int(np.count_nonzero(raw < CLAMP_TOLERANCE))
-                  if min_raw < CLAMP_TOLERANCE else 0)
-    np.maximum(raw, 0.0, out=raw)
-    raw.setflags(write=False)
-    return DensitySurface(grid=grid, times=times, values=raw, kind=kind,
-                          source=source, clamped_nodes=negatives,
-                          clamp_violations=violations,
-                          min_pre_clamp=min(min_raw, 0.0),
-                          max_mass_drift=max_mass_drift)
-
-
-def _surface_march(lower, diag, upper, grid: SpatialGrid, times: TimeGrid,
-                   source: float, check_mass: bool):
-    """Every raw slice of one march from a point source at ``source``, in
-    marching order, and its worst mass drift."""
+def _surface(lower, diag, upper, grid: SpatialGrid, times: TimeGrid,
+             source: float, kind: str) -> DensitySurface:
+    """The read-only surface of one march from a point source at
+    ``source``.  Backward and conditioned surfaces read the march backward
+    in time; only the probability densities (not ``"backward"``) get the
+    mass check and a mass drift."""
     raw = np.empty((times.n_steps + 1, 1, grid.n_cells))
+    check_mass = kind != "backward"
     max_mass_drift = _march_sources(lower, diag, upper, grid, times,
                                     delta_init(grid, source), raw, check_mass)
-    return raw[:, 0], max_mass_drift
+    values = raw[:, 0] if kind == "forward" else raw[::-1, 0]
+    values.setflags(write=False)
+    return DensitySurface(grid=grid, times=times, values=values, kind=kind,
+                          source=source,
+                          max_mass_drift=max_mass_drift if check_mass else None)
 
 
 def solve_forward(drift, eps, grid: SpatialGrid, times: TimeGrid,
@@ -400,13 +409,10 @@ def solve_forward(drift, eps, grid: SpatialGrid, times: TimeGrid,
 
     Conservative flux form, reflecting boundaries, Crank-Nicolson stepping
     with RANNACHER_STEPS backward-Euler startup steps to damp the
-    point-source transient.  Negative stored values are clamped to zero and
-    counted; the evolution itself is untouched so conservation and the
-    discrete Chapman-Kolmogorov identity hold exactly.
+    point-source transient.
     """
-    raw, max_mass_drift = _surface_march(*_forward_operator(drift, eps, grid),
-                                         grid, times, y1, check_mass=True)
-    return _package(raw, grid, times, "forward", y1, max_mass_drift)
+    return _surface(*_forward_operator(drift, eps, grid), grid, times, y1,
+                    "forward")
 
 
 def solve_backward(drift, eps, grid: SpatialGrid, times: TimeGrid,
@@ -423,9 +429,7 @@ def solve_backward(drift, eps, grid: SpatialGrid, times: TimeGrid,
     lower, diag, upper = _forward_operator(drift, eps, grid)
     # Transpose swaps the off-diagonals; marching "forward" from the terminal
     # condition and reading the slices in reverse realizes the backward sweep.
-    raw, _ = _surface_march(upper, diag, lower, grid, times, y3,
-                            check_mass=False)
-    return _package(raw[::-1], grid, times, "backward", y3)
+    return _surface(upper, diag, lower, grid, times, y3, "backward")
 
 
 def solve_endpoint_conditioned(drift, eps, grid: SpatialGrid, times: TimeGrid,
@@ -437,15 +441,15 @@ def solve_endpoint_conditioned(drift, eps, grid: SpatialGrid, times: TimeGrid,
     these gradient drifts, the forward density started from ``y_end`` and
     read backward in time: q(y, t) = p(y, t_end - t | y_end).  Equivalently
     q is the hitting density of :func:`solve_backward` reweighted by the
-    stationary density and renormalized.  Each slice integrates to one.
+    stationary density and renormalized; on the grid the weight is the
+    generator's detailed-balance weight pi_d, and the identity holds to
+    roundoff.  Each slice integrates to one.
 
     This is the endpoint factor the pathway extraction multiplies against
     the forward surface from the start state.
     """
-    raw, max_mass_drift = _surface_march(*_forward_operator(drift, eps, grid),
-                                         grid, times, y_end, check_mass=True)
-    return _package(raw[::-1], grid, times, "conditioned", y_end,
-                    max_mass_drift)
+    return _surface(*_forward_operator(drift, eps, grid), grid, times, y_end,
+                    "conditioned")
 
 
 def stationary_density(drift, eps, grid: SpatialGrid) -> np.ndarray:

@@ -55,6 +55,7 @@ class DimensionalParams:
 
     def __post_init__(self) -> None:
         positive = {
+            "reference_salinity": self.reference_salinity,
             "diffusion_time": self.diffusion_time,
             "relaxation_time": self.relaxation_time,
             "advection_time": self.advection_time,

@@ -48,8 +48,6 @@ class SweepPoint:
     t_jump: float | None
     gap: float | None
     max_mass_error: float
-    min_pre_clamp: float
-    clamp_violations: int
 
 
 def _run_pipeline(epsilon: float) -> PipelineRun:
@@ -100,8 +98,6 @@ def sweep_points() -> tuple[list[SweepPoint], float]:
             t_jump=event.t_jump if event else None,
             gap=event.gap if event else None,
             max_mass_error=mass_err,
-            min_pre_clamp=min(forward.min_pre_clamp, conditioned.min_pre_clamp),
-            clamp_violations=forward.clamp_violations + conditioned.clamp_violations,
         ))
     return points, time.perf_counter() - start
 

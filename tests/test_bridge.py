@@ -1,6 +1,5 @@
 """Bridge products, path extraction, jump detection and the noise sweep."""
 
-import math
 import sys
 
 import numpy as np
@@ -367,16 +366,14 @@ class TestSweep:
 
     def test_failure_annotated_with_epsilon(self, monkeypatch):
         # per-epsilon solver failures are recorded and do not stop the sweep
-        real = bridge_mod._march_sources
+        real = bridge_mod.solve_path
 
-        def flaky(lower, diag, upper, grid, *args, **kwargs):
-            # the diffusion part of the generator: lower + upper = eps^2 / h^2
-            eps = grid.spacing * math.sqrt(lower[0] + upper[0])
-            if abs(eps - 0.22) < 1e-12:
+        def flaky(drift, eps, *args):
+            if eps == 0.22:
                 raise SolverError("forced failure")
-            return real(lower, diag, upper, grid, *args, **kwargs)
+            return real(drift, eps, *args)
 
-        monkeypatch.setattr(bridge_mod, "_march_sources", flaky)
+        monkeypatch.setattr(bridge_mod, "solve_path", flaky)
         records = sweep_noise(CESSI, BridgeSpec(0.2402, 1.0687, 10.0),
                               [0.22, 0.25], GRID, TIMES, 0.3)
         assert len(records) == 2
@@ -418,9 +415,9 @@ class TestSolvePath:
         assert np.array_equal(path.times, expected.times)
         assert path.refinement == expected.refinement
 
-    def test_fold_clamps_every_factor(self, monkeypatch):
-        # the default forward solve at eps = 0.20 clamps 516 000 negative
-        # nodes; none of them may reach a product, and every row is formed
+    def test_fold_forms_every_row_from_nonnegative_factors(self, monkeypatch):
+        # a negative value would raise in the march before it reached a
+        # product (np.log in the underflow guard); every row is formed
         real = bridge_mod._guarded_product
         rows = []
 
@@ -467,8 +464,9 @@ class TestSolvePath:
                               expected)
 
     def test_disjoint_supports_raise_as_solve_bridge(self):
-        # at eps = 0.01 the end-state density at T is zero around y_start
-        message = "density supports do not overlap at step 0"
+        # at eps = 0.01 the earliest slice whose two factors share no
+        # support is step 2047
+        message = "density supports do not overlap at step 2047"
         with pytest.raises(BridgeError, match=message):
             solve_bridge(CESSI, 0.01, DEFAULT_SPEC, DEFAULT_GRID, DEFAULT_TIMES)
         with pytest.raises(BridgeError, match=message):
@@ -476,7 +474,7 @@ class TestSolvePath:
         records = sweep_noise(CESSI, DEFAULT_SPEC, [0.01, 0.25], DEFAULT_GRID,
                               DEFAULT_TIMES, 0.3)
         assert records[0].error == (
-            "eps=0.01: density supports do not overlap at step 0: the noise "
+            "eps=0.01: density supports do not overlap at step 2047: the noise "
             "level is too small for this horizon")
         assert not records[0].converged
         assert records[1].converged and records[1].error is None

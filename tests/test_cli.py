@@ -9,7 +9,7 @@ import pytest
 
 from thcbridge.cli import main
 from thcbridge.config import load_config
-from thcbridge.fpe import solve_backward, solve_forward
+from thcbridge.fpe import PDE_SCHEME, solve_backward, solve_forward
 from thcbridge.montecarlo import EnsembleConfig, euler_maruyama_ensemble
 from thcbridge.output import format_value
 
@@ -105,7 +105,9 @@ class TestBridgePath:
         assert jump["gap"] > 0.5
         manifest = read_manifest(out)
         assert manifest["resolved_model"] == {"f_bar": 1.1, "mu2": 6.2}
-        assert manifest["diagnostics"]["forward_clamp_violations"] == 0
+        assert manifest["schemes"]["pde"] == PDE_SCHEME
+        assert PDE_SCHEME.startswith("flux-form-scharfetter-gummel/")
+        assert 0.0 <= manifest["diagnostics"]["path_max_mass_drift"] <= 1e-6
 
     def test_default_resolution_jump_value(self, tmp_path):
         out = tmp_path / "bd"
@@ -285,8 +287,9 @@ class TestFailureModes:
         (["sweep", "--eps-list", "0.2,nan"], "eps_list"),
         (["mc", "--param", "dt_sde=nan"], "dt_sde"),
         (["equilibria", "--param", "t_d_years=-1"], "t_d_years"),
+        (["equilibria", "--param", "f=1e-7", "--param", "s0=-35"], "s0"),
     ], ids=["jump_threshold", "f_bar", "derived-f_bar", "alpha", "validate",
-            "eps_list", "dt_sde", "t_d_years"])
+            "eps_list", "dt_sde", "t_d_years", "s0"])
     def test_bad_number_exit_2_with_manifest(self, tmp_path, capsys, args, key):
         out = tmp_path / "bad"
         assert main([*args, "--out", str(out)]) == 2
@@ -349,7 +352,8 @@ class TestValidateCommand:
     def test_coarse_grid_fails_convergence(self, tmp_path, capsys):
         out = tmp_path / "vc"
         args = ["validate", "--checks", "grid-convergence",
-                "--param", "n_cells=64", "--out", str(out)]
+                "--param", "n_cells=64", "--param", "y_min=-2",
+                "--param", "y_max=3.5", "--out", str(out)]
         assert main(args) == 5
         report = json.loads((out / "validation.json").read_text())
         assert report["all_passed"] is False

@@ -175,8 +175,9 @@ class TestValidation:
         ({"f": 1e-7, "t_d_years": -1.0}, "t_d_years", "got -1.0"),
         ({"f": 1e-7, "t_a_years": 0.0}, "t_a_years", "got 0.0"),
         ({"f": 1e-7, "h": -4500.0}, "h", "got -4500.0"),
+        ({"f": 1e-7, "s0": -35.0}, "s0", "got -35.0"),
     ], ids=["mu2", "f_bar", "f_bar-next-to-f", "derived-f_bar", "t_d_years",
-            "t_a_years", "h"])
+            "t_a_years", "h", "s0"])
     def test_nondimensional_names_the_key(self, values, key, shown):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")     # f_bar given next to f

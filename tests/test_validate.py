@@ -38,17 +38,11 @@ class TestRunChecks:
             run_checks(load_config(), ["mass", "bogus"])
 
     def test_coarse_grid_fails_grid_convergence(self):
-        config = load_config(overrides=["n_cells=64"])
+        # 64 cells on [-2, 3.5]: the coarse-vs-mid L1 is about 0.02
+        config = load_config(overrides=["n_cells=64", "y_min=-2", "y_max=3.5"])
         result = run_checks(config, ["grid-convergence"])[0]
         assert not result.passed
-
-    def test_coarse_grid_flagged_by_mass_check_too(self):
-        # 64 cells puts the cell Peclet number above 2: the scheme rings,
-        # clamping shifts stored mass, and the mass check reports it
-        config = load_config(overrides=["n_cells=64", "n_steps=400"])
-        result = run_checks(config, ["mass"])[0]
-        assert not result.passed
-        assert result.measured > 1e-6
+        assert result.measured > result.tolerance
 
     def test_adequate_grid_passes_mass_check(self):
         config = load_config(overrides=["n_cells=400", "n_steps=2000"])
