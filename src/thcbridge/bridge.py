@@ -25,6 +25,7 @@ from functools import partial
 import numpy as np
 
 from .fpe import (
+    _CHUNK_STEPS,
     DensitySurface,
     GridError,
     SolverError,
@@ -200,8 +201,16 @@ def _subgrid_peaks(values: np.ndarray, j: np.ndarray,
 def _row_peaks(values: np.ndarray, grid: SpatialGrid,
                refine: bool = True) -> np.ndarray:
     """Per-row argmax location, with subgrid refinement; ties take the
-    smaller state."""
-    j = np.argmax(values, axis=1)   # argmax returns the first (smallest-y) tie
+    smaller state.
+
+    The argmax runs over blocks of ``_CHUNK_STEPS`` rows: ``np.argmax``
+    copies a non-contiguous input (a slot column of :func:`solve_path`)
+    first, and a block bounds that copy; on a contiguous input the blocks
+    are views.
+    """
+    # argmax returns the first (smallest-y) tie
+    j = np.concatenate([np.argmax(values[k:k + _CHUNK_STEPS], axis=1)
+                        for k in range(0, len(values), _CHUNK_STEPS)])
     return _subgrid_peaks(values, j, grid) if refine else grid.nodes[j]
 
 
@@ -278,7 +287,10 @@ def solve_path(drift, eps, spec: BridgeSpec, grid: SpatialGrid,
     forward march from ``y_end`` whose reversal is the conditioned surface,
     are the two columns of one fused march under one operator
     (``fpe._march_sources``).  Product row k is p_k * r_{n-k}, so only
-    slices 0..n//2 of both are stored, about one surface of memory.  Each
+    slices 0..n//2 of both are stored, one surface of memory.  The peak is
+    that stored half plus the march's 257-step buffer (``_CHUNK_STEPS + 1``
+    steps of both factors); the argmax, which runs after the march, copies
+    at most ``_CHUNK_STEPS`` rows at a time.  Each
     later step m folds into slot s = n - m: column 0 becomes row s
     (p_s * r_m) and column 1 row m (r_s * p_m); for even n the middle slot
     pairs with itself.  The underflow guard and the refined argmax are
@@ -341,9 +353,9 @@ def sweep_noise(drift, spec: BridgeSpec, eps_list, grid: SpatialGrid,
 
     The rows run on a thread pool of min(rows, usable CPUs) workers; the
     solves spend most of their time in LAPACK, which releases the GIL, and
-    each worker holds about one surface.  Solver failures are recorded on
-    the affected entry and do not stop the remaining intensities.  Records
-    follow the input order.
+    each worker holds about one surface (see :func:`solve_path`).  Solver
+    failures are recorded on the affected entry and do not stop the
+    remaining intensities.  Records follow the input order.
     """
     eps_values = [e.epsilon if hasattr(e, "epsilon") else float(e)
                   for e in eps_list]

@@ -9,6 +9,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
+
 
 def format_value(value) -> str:
     if value is None:
@@ -57,14 +59,16 @@ def write_surface_csv(path: Path, surface, dump_every: int = 1,
 
 def write_surface_binary(path: Path, sidecar: Path, surface,
                          dump_every: int = 1) -> None:
-    """Row-major float64 dump plus a JSON sidecar with the grid metadata."""
+    """Row-major float64 dump, written a slice at a time so the surface is
+    never copied, plus a JSON sidecar with the grid metadata."""
     steps = stored_steps(surface.times.n_steps, dump_every)
-    block = surface.values[steps]
-    block.astype("<f8", copy=False).tofile(path)
+    with open(path, "wb") as fh:
+        for n in steps:
+            fh.write(np.ascontiguousarray(surface.values[n], dtype="<f8"))
     write_json(sidecar, {
         "dtype": "<f8",
         "order": "C",
-        "shape": list(block.shape),
+        "shape": [len(steps), surface.grid.n_cells],
         "kind": surface.kind,
         "y_min": surface.grid.y_min,
         "y_max": surface.grid.y_max,

@@ -63,6 +63,7 @@ def check_chapman_kolmogorov(config: RunConfig) -> CheckResult:
         fwd = solve_forward(drift, eps, grid, times, config.y_start)
         bwd = solve_backward(drift, eps, grid, times, config.y_end)
         pairing = np.einsum("ij,ij->i", fwd.values, bwd.values) * grid.spacing
+        del fwd, bwd    # free this pair before the next one is solved
         lo = int(round(0.1 * times.n_steps))
         hi = int(round(0.9 * times.n_steps))
         window = pairing[lo:hi + 1]
@@ -156,8 +157,10 @@ def check_grid_convergence(config: RunConfig) -> CheckResult:
         factor = 2**level
         grid = SpatialGrid(config.y_min, config.y_max, base_cells * factor)
         times = TimeGrid(0.0, horizon, base_steps * factor)
-        surface = solve_forward(drift, eps, grid, times, config.y_start)
-        finals.append((grid, surface.values[-1]))
+        # keep a copy of the final slice only: the surface is freed before
+        # the next, larger solve
+        finals.append((grid, solve_forward(drift, eps, grid, times,
+                                           config.y_start).values[-1].copy()))
     grid0, coarse = finals[0]
     grid1, mid = finals[1]
     _, fine = finals[2]

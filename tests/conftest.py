@@ -4,6 +4,7 @@ per session and reused by the unit and acceptance tests."""
 from __future__ import annotations
 
 import time
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,17 @@ DEFAULT_SPEC = BridgeSpec(0.2402, 1.0687, 10.0)
 CESSI = CessiReduced(1.1, 6.2)
 
 Y1, Y2, Y3 = 0.2402, 0.6911, 1.0687
+
+
+def traced_peak(fn):
+    """(fn(), peak bytes traced by tracemalloc while fn ran)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 @dataclass(frozen=True)

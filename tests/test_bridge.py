@@ -398,6 +398,28 @@ class TestSweep:
         assert runs[0] == runs[1] == runs[2]
 
 
+class TestRowPeaks:
+    def test_block_argmax_equals_unblocked(self):
+        # a strided slot column, as solve_path passes it, over two full
+        # blocks and a partial one
+        grid = SpatialGrid(-1.0, 2.5, 64)
+        k = 2 * bridge_mod._CHUNK_STEPS + 37
+        slots = np.random.default_rng(5).random((k, 2, grid.n_cells))
+        slots[0::3, 0, [5, 17]] = 2.0    # an interior tie
+        slots[1::3, 0, 0] = 2.0          # a peak on the low edge
+        slots[2::3, 0, -1] = 2.0         # a peak on the high edge ...
+        slots[2::6, 0, 0] = 2.0          # ... tied with the low edge
+        values = slots[:, 0]
+        assert not values.flags.c_contiguous
+        j = np.argmax(np.ascontiguousarray(values), axis=1)
+        assert (j[0::3] == 5).all() and (j[1::3] == 0).all()
+        assert (j[2::6] == 0).all() and (j[5::6] == grid.n_cells - 1).all()
+        assert np.array_equal(bridge_mod._row_peaks(values, grid),
+                              bridge_mod._subgrid_peaks(values, j, grid))
+        assert np.array_equal(bridge_mod._row_peaks(values, grid, refine=False),
+                              grid.nodes[j])
+
+
 DEFAULT_GRID = SpatialGrid(-1.0, 2.5, 800)
 DEFAULT_TIMES = TimeGrid(0.0, 10.0, 4000)
 DEFAULT_SPEC = BridgeSpec(0.2402, 1.0687, 10.0)

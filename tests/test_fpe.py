@@ -2,7 +2,6 @@
 relaxation, time reversal, conservation and positivity."""
 
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
+from thcbridge.bridge import BridgeSpec, solve_path
 from thcbridge.fpe import (
     RANNACHER_STEPS,
     GridError,
@@ -30,6 +30,8 @@ import thcbridge.fpe as fpe_mod
 from thcbridge.fpe import _forward_operator, _march_sources
 from thcbridge.model import CessiReduced, LinearOU, ZeroDrift
 from thcbridge.montecarlo import l1_distance
+
+from conftest import traced_peak
 
 CESSI = CessiReduced(1.1, 6.2)
 
@@ -352,13 +354,21 @@ class TestSurfaceMemory:
         (solve_endpoint_conditioned, 1.0687),
     ], ids=["forward", "backward", "conditioned"])
     def test_peak_below_one_and_a_half_surfaces(self, solver, source):
-        tracemalloc.start()
-        try:
-            surface = solver(CESSI, 0.2, self.GRID, self.TIMES, source)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        surface, peak = traced_peak(
+            lambda: solver(CESSI, 0.2, self.GRID, self.TIMES, source))
         assert peak < 1.5 * surface.values.nbytes
+
+    def test_solve_path_peak_near_its_stored_half(self):
+        # solve_path stores slices 0..n//2 of both factors; the rest of its
+        # peak is the 257-step march buffer (an eighth of the half at 4000
+        # steps) and the argmax's block copies.  An argmax over the whole
+        # strided half would copy half of it again.
+        times = TimeGrid(0.0, 10.0, 4000)
+        path, peak = traced_peak(lambda: solve_path(
+            CESSI, 0.2, BridgeSpec(0.2402, 1.0687, 10.0), self.GRID, times))
+        stored_half = (times.n_steps // 2 + 1) * 2 * self.GRID.n_cells * 8
+        assert path.psi.size == times.n_steps + 1
+        assert peak < 1.2 * stored_half
 
 
 def banded_reference(lower, diag, upper, init, times):
