@@ -9,7 +9,6 @@ circulation model.
 """
 
 from .model import (
-    BoxState2D,
     CessiReduced,
     DimensionalParams,
     DoubleWell,
@@ -19,12 +18,7 @@ from .model import (
     ModelError,
     NondimensionalParams,
     ZeroDrift,
-    density_difference,
-    drift_2d,
-    drift_dimensional,
-    exchange_function,
     find_equilibria,
-    integrate_deterministic_2d,
     nondimensionalize,
 )
 from .fpe import (

@@ -24,6 +24,7 @@ same scheme.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -51,6 +52,21 @@ class GridError(ValueError):
     """Invalid grid construction or mismatched grids."""
 
 
+def _finite(name: str, value) -> float:
+    """``value`` as a float if it is a finite number; a boolean is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not math.isfinite(value):
+        raise GridError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _integer(name: str, value, least: int) -> None:
+    """Reject anything but an integer >= ``least``; a boolean is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+            or value < least:
+        raise GridError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SpatialGrid:
     """Uniform cell-centered grid on [y_min, y_max]."""
@@ -60,10 +76,9 @@ class SpatialGrid:
     n_cells: int = 800
 
     def __post_init__(self) -> None:
-        if not self.y_max > self.y_min:
+        if not _finite("y_max", self.y_max) > _finite("y_min", self.y_min):
             raise GridError(f"need y_min < y_max, got [{self.y_min}, {self.y_max}]")
-        if self.n_cells < 64:
-            raise GridError(f"n_cells must be >= 64, got {self.n_cells}")
+        _integer("n_cells", self.n_cells, 64)
 
     @property
     def spacing(self) -> float:
@@ -100,10 +115,9 @@ class TimeGrid:
     n_steps: int = 4000
 
     def __post_init__(self) -> None:
-        if not self.t_end > self.t_start:
+        if not _finite("t_end", self.t_end) > _finite("t_start", self.t_start):
             raise GridError(f"need t_start < t_end, got [{self.t_start}, {self.t_end}]")
-        if self.n_steps < 1:
-            raise GridError(f"n_steps must be >= 1, got {self.n_steps}")
+        _integer("n_steps", self.n_steps, 1)
 
     @property
     def dt(self) -> float:
@@ -126,7 +140,7 @@ class NoiseIntensity:
     epsilon: float
 
     def __post_init__(self) -> None:
-        if not (self.epsilon > 0.0 and math.isfinite(self.epsilon)):
+        if not _finite("epsilon", self.epsilon) > 0.0:
             raise GridError(f"epsilon must be positive, got {self.epsilon!r}")
 
 
@@ -139,7 +153,8 @@ def _usable_cpus() -> int:
 
 
 def _as_noise(eps) -> NoiseIntensity:
-    return eps if isinstance(eps, NoiseIntensity) else NoiseIntensity(float(eps))
+    return (eps if isinstance(eps, NoiseIntensity)
+            else NoiseIntensity(_finite("epsilon", eps)))
 
 
 @dataclass(frozen=True)
@@ -158,12 +173,6 @@ class DensitySurface:
     kind: str                       # "forward", "backward", "conditioned", ...
     source: float | None = None     # delta location (start or target state)
     max_mass_drift: float | None = None  # forward solves: max |spacing*sum - 1|
-
-    def slice_at(self, t: float) -> np.ndarray:
-        """Stored slice closest to time t."""
-        n = int(round((t - self.times.t_start) / self.times.dt))
-        n = min(max(n, 0), self.times.n_steps)
-        return self.values[n]
 
 
 def mass(values: np.ndarray, grid: SpatialGrid) -> float:

@@ -1,10 +1,10 @@
-"""Two-box ocean circulation model and 1D drift abstractions.
+"""Reduced salinity equation of the two-box model, and 1D drift abstractions.
 
-The dimensional model tracks the temperature and salinity differences
-between a polar and an equatorial box coupled by density-driven exchange.
-After nondimensionalization the temperature relaxes fast and the salinity
-difference obeys a 1D bistable drift, which is what the solvers in
-:mod:`thcbridge.fpe` and :mod:`thcbridge.bridge` consume.
+In the two-box (Cessi 1994) circulation model the temperature difference
+relaxes fast; on that slow manifold the salinity difference obeys the 1D
+bistable drift :class:`CessiReduced`, the simplified system the solvers in
+:mod:`thcbridge.fpe` and :mod:`thcbridge.bridge` consume.  Only the
+dimensional constants that :func:`nondimensionalize` reads are kept.
 """
 
 from __future__ import annotations
@@ -35,22 +35,18 @@ class ModelError(ValueError):
 class DimensionalParams:
     """Physical constants of the two-box circulation model, SI units.
 
-    Times are stored in seconds.  ``reference_temperature`` and
-    ``reference_density`` are carried for completeness but feed no dynamics.
+    Times are stored in seconds.  Every field but ``relaxation_time``,
+    which sets only alpha, has a dimensional config key.
     """
 
-    reference_temperature: float = 5.0           # degC
     reference_salinity: float = 35.0             # psu
-    reference_density: float = 1029.0            # kg m^-3
     diffusion_time: float = 219.0 * YEAR_SECONDS  # s
     relaxation_time: float = 25.0 * DAY_SECONDS   # s
     advection_time: float = 35.0 * YEAR_SECONDS   # s
-    transport_coefficient: float = 8.84e11        # m^3 s^-1
     salinity_coefficient: float = 7.5e-4          # psu^-1
     thermal_expansion: float = 1.7e-4             # degC^-1
     temperature_difference: float = 20.0          # degC, meridional
     ocean_depth: float = 4500.0                   # m
-    control_volume: float = 8250e3 * 4.5e3 * 300e3  # m^3
     freshwater_flux: float | None = None          # m s^-1, optional
 
     def __post_init__(self) -> None:
@@ -59,31 +55,21 @@ class DimensionalParams:
             "diffusion_time": self.diffusion_time,
             "relaxation_time": self.relaxation_time,
             "advection_time": self.advection_time,
-            "transport_coefficient": self.transport_coefficient,
             "salinity_coefficient": self.salinity_coefficient,
             "thermal_expansion": self.thermal_expansion,
             "temperature_difference": self.temperature_difference,
             "ocean_depth": self.ocean_depth,
-            "control_volume": self.control_volume,
         }
         for name, value in positive.items():
             if not (value > 0.0 and math.isfinite(value)):
                 raise ModelError(f"{name} must be strictly positive, got {value!r}",
                                  name)
 
-    def advection_time_from_geometry(self) -> float:
-        """Advection time V / (q (alpha_T theta)^2) implied by the transport geometry.
-
-        Diagnostic only: the stored ``advection_time`` is what enters the
-        nondimensionalization.
-        """
-        scale = self.thermal_expansion * self.temperature_difference
-        return self.control_volume / (self.transport_coefficient * scale**2)
-
 
 @dataclass(frozen=True)
 class NondimensionalParams:
-    """Dimensionless forcing, restoring strength and time-scale ratio."""
+    """Dimensionless forcing f_bar and coupling mu2 = t_d/t_a of the reduced
+    drift; alpha = t_d/t_r is derived and kept, but no dynamics read it."""
 
     f_bar: float = 1.1
     alpha: float = 3199.59
@@ -100,27 +86,6 @@ class NondimensionalParams:
                                  f"got {value!r}", name)
 
 
-@dataclass(frozen=True)
-class BoxState2D:
-    """Dimensionless (temperature difference, salinity difference) state."""
-
-    x: float
-    y: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ModelError(f"state must be finite, got ({self.x!r}, {self.y!r})")
-
-
-@dataclass(frozen=True)
-class Trajectory2D:
-    """Sampled solution of the 2D deterministic system."""
-
-    times: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-
-
 Stability = Literal["stable", "unstable"]
 
 
@@ -131,40 +96,6 @@ class Equilibrium:
     y: float
     derivative: float
     stability: Stability
-
-
-# --- dimensional dynamics -------------------------------------------------
-
-def density_difference(s_p: float, s_e: float, t_p: float, t_e: float,
-                       params: DimensionalParams) -> float:
-    """Scaled pole-equator density difference alpha_S(S_p-S_e) - alpha_T(T_p-T_e)."""
-    return (params.salinity_coefficient * (s_p - s_e)
-            - params.thermal_expansion * (t_p - t_e))
-
-
-def exchange_function(delta_rho: float, params: DimensionalParams) -> float:
-    """Exchange rate 1/t_d + (q/V) * delta_rho^2 in s^-1."""
-    return (1.0 / params.diffusion_time
-            + params.transport_coefficient / params.control_volume * delta_rho**2)
-
-
-def drift_dimensional(delta_t: float, delta_s: float,
-                      params: DimensionalParams) -> tuple[float, float]:
-    """Time derivatives (d(DeltaT)/dt, d(DeltaS)/dt) of the dimensional model.
-
-    ``delta_t`` and ``delta_s`` are the equator-minus-pole differences, so the
-    density difference reduces to alpha_T*DeltaT - alpha_S*DeltaS.
-    """
-    if params.freshwater_flux is None:
-        raise ModelError("freshwater_flux is required for the dimensional drift")
-    delta_rho = (params.thermal_expansion * delta_t
-                 - params.salinity_coefficient * delta_s)
-    q_rate = exchange_function(delta_rho, params)
-    d_delta_t = (-(delta_t - params.temperature_difference) / params.relaxation_time
-                 - q_rate * delta_t)
-    d_delta_s = (params.freshwater_flux / params.ocean_depth * params.reference_salinity
-                 - q_rate * delta_s)
-    return d_delta_t, d_delta_s
 
 
 def nondimensionalize(params: DimensionalParams,
@@ -190,16 +121,6 @@ def nondimensionalize(params: DimensionalParams,
                      / (params.thermal_expansion * params.temperature_difference
                         * params.ocean_depth))
     return NondimensionalParams(f_bar=f_bar_derived, alpha=alpha, mu2=mu2)
-
-
-# --- nondimensional dynamics ----------------------------------------------
-
-def drift_2d(state: BoxState2D, nd: NondimensionalParams) -> tuple[float, float]:
-    """Right-hand side of the nondimensional fast-slow system."""
-    coupling = 1.0 + nd.mu2 * (state.x - state.y) ** 2
-    dx = -nd.alpha * (state.x - 1.0) - state.x * coupling
-    dy = nd.f_bar - state.y * coupling
-    return dx, dy
 
 
 def find_equilibria(nd: NondimensionalParams,
@@ -235,31 +156,6 @@ def find_equilibria(nd: NondimensionalParams,
         out.append(Equilibrium(y=r, derivative=d,
                                stability="stable" if d < 0.0 else "unstable"))
     return out
-
-
-def integrate_deterministic_2d(nd: NondimensionalParams, initial: BoxState2D,
-                               horizon: float, step: float) -> Trajectory2D:
-    """Integrate the 2D deterministic system and sample every ``step``.
-
-    The temperature equation is stiff for large alpha, so an implicit
-    (Radau) integrator is used; ``step`` only controls the output sampling.
-    """
-    # lazy: scipy.integrate adds ~0.25 s and 23 MB to `import thcbridge`
-    from scipy.integrate import solve_ivp
-
-    if step <= 0.0 or horizon <= 0.0:
-        raise ModelError("step and horizon must be positive")
-
-    def rhs(_t, state):
-        return drift_2d(BoxState2D(state[0], state[1]), nd)
-
-    n_out = max(2, int(round(horizon / step)) + 1)
-    times = np.linspace(0.0, horizon, n_out)
-    sol = solve_ivp(rhs, (0.0, horizon), (initial.x, initial.y), method="Radau",
-                    t_eval=times, rtol=1e-8, atol=1e-10)
-    if not sol.success or not np.all(np.isfinite(sol.y)):
-        raise ModelError(f"2D integration failed: {sol.message}")
-    return Trajectory2D(times=times, x=sol.y[0], y=sol.y[1])
 
 
 # --- drift abstraction for the solvers --------------------------------------

@@ -18,7 +18,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .fpe import GridError, SpatialGrid, TimeGrid, _as_noise, _usable_cpus
+from .fpe import (GridError, SpatialGrid, TimeGrid, _as_noise, _finite, _integer,
+                  _usable_cpus)
 
 RNG_ALGORITHM = "numpy-pcg64/seedsequence-spawn"
 
@@ -39,9 +40,9 @@ class EnsembleConfig:
     reflect_at_bounds: bool = True
 
     def __post_init__(self) -> None:
-        if self.n_paths < 1:
-            raise GridError(f"n_paths must be >= 1, got {self.n_paths}")
-        if not (self.dt_sde > 0.0 and math.isfinite(self.dt_sde)):
+        _integer("n_paths", self.n_paths, 1)
+        _integer("seed", self.seed, 0)
+        if not _finite("dt_sde", self.dt_sde) > 0.0:
             raise GridError(f"dt_sde must be positive, got {self.dt_sde!r}")
 
 

@@ -65,6 +65,38 @@ class TestGrids:
         with pytest.raises(GridError):
             NoiseIntensity(-0.1)
 
+    @pytest.mark.parametrize("args, name", [
+        ((-1.0, math.inf, 800), "y_max"),
+        ((math.nan, 2.5, 800), "y_min"),
+        ((-1.0, 2.5, 800.5), "n_cells"),
+        ((-1.0, 2.5, 800.0), "n_cells"),
+        ((-1.0, 2.5, True), "n_cells"),
+        ((False, 2.5, 800), "y_min"),
+    ])
+    def test_spatial_grid_rejects_bad_values(self, args, name):
+        with pytest.raises(GridError, match=name):
+            SpatialGrid(*args)
+        assert SpatialGrid(-1.0, 2.5, np.int64(800)).nodes.size == 800
+
+    @pytest.mark.parametrize("args, name", [
+        ((0.0, math.inf, 10), "t_end"),
+        ((-math.inf, 1.0, 10), "t_start"),
+        ((0.0, 1.0, 10.5), "n_steps"),
+        ((0.0, 1.0, True), "n_steps"),
+    ])
+    def test_time_grid_rejects_bad_values(self, args, name):
+        with pytest.raises(GridError, match=name):
+            TimeGrid(*args)
+        assert TimeGrid(0.0, 1.0, np.int32(10)).nodes.size == 11
+
+    @pytest.mark.parametrize("eps", [True, math.inf, math.nan, "0.2"])
+    def test_noise_rejects_bad_values(self, eps):
+        with pytest.raises(GridError, match="epsilon"):
+            NoiseIntensity(eps)
+        with pytest.raises(GridError, match="epsilon"):
+            solve_forward(ZeroDrift(), eps, SpatialGrid(-1.0, 1.0, 64),
+                          TimeGrid(0.0, 0.1, 4), 0.0)
+
 
 class TestDeltaInit:
     def test_on_node(self):
@@ -219,14 +251,6 @@ class TestForwardSolver:
         surface = solve_forward(ZeroDrift(), 0.3, grid, TimeGrid(0.0, 0.1, 20), 0.0)
         with pytest.raises(ValueError):
             surface.values[0, 0] = 1.0
-
-    def test_slice_lookup_by_time(self):
-        grid = SpatialGrid(-1.0, 1.0, 128)
-        times = TimeGrid(0.0, 1.0, 100)
-        surface = solve_forward(ZeroDrift(), 0.3, grid, times, 0.0)
-        assert np.array_equal(surface.slice_at(0.5), surface.values[50])
-        assert np.array_equal(surface.slice_at(-99.0), surface.values[0])
-        assert np.array_equal(surface.slice_at(99.0), surface.values[-1])
 
     def test_grid_convergence_second_order(self):
         # successive refinements must shrink the change by ~4x (>= 3 required)

@@ -1,4 +1,4 @@
-"""Box-model physics, nondimensionalization and equilibrium analysis."""
+"""Reduced box-model drift, nondimensionalization and equilibrium analysis."""
 
 import math
 import os
@@ -15,7 +15,6 @@ import thcbridge
 from thcbridge.model import (
     DAY_SECONDS,
     YEAR_SECONDS,
-    BoxState2D,
     CessiReduced,
     DimensionalParams,
     DoubleWell,
@@ -23,12 +22,7 @@ from thcbridge.model import (
     ModelError,
     NondimensionalParams,
     ZeroDrift,
-    density_difference,
-    drift_2d,
-    drift_dimensional,
-    exchange_function,
     find_equilibria,
-    integrate_deterministic_2d,
     nondimensionalize,
 )
 
@@ -47,15 +41,11 @@ def table_params():
 
 class TestDimensionalParams:
     def test_defaults_match_table(self, table_params):
-        assert table_params.reference_temperature == 5.0
         assert table_params.reference_salinity == 35.0
-        assert table_params.reference_density == 1029.0
-        assert table_params.transport_coefficient == 8.84e11
         assert table_params.salinity_coefficient == 7.5e-4
         assert table_params.thermal_expansion == 1.7e-4
         assert table_params.temperature_difference == 20.0
         assert table_params.ocean_depth == 4500.0
-        assert table_params.control_volume == pytest.approx(1.11375e16)
         assert table_params.diffusion_time == pytest.approx(219 * 365.25 * 86400)
         assert table_params.relaxation_time == pytest.approx(25 * 86400)
         assert table_params.advection_time == pytest.approx(35 * 365.25 * 86400)
@@ -67,69 +57,6 @@ class TestDimensionalParams:
         with pytest.raises(ModelError, match="salinity_coefficient") as info:
             DimensionalParams(salinity_coefficient=-1e-4)
         assert info.value.name == "salinity_coefficient"
-
-    def test_geometry_advection_time_near_table_value(self, table_params):
-        # V/(q (alpha_T theta)^2) ~ 34.5 yr vs the tabulated 35 yr
-        years = table_params.advection_time_from_geometry() / (365.25 * 86400)
-        assert years == pytest.approx(34.536128445, rel=1e-9)
-
-
-class TestDimensionalDynamics:
-    def test_density_difference_symmetric_inputs(self, table_params):
-        assert density_difference(35.0, 35.0, 10.0, 10.0, table_params) == 0.0
-
-    def test_density_difference_salinity_only(self, table_params):
-        assert density_difference(36.0, 35.0, 10.0, 10.0, table_params) == \
-            pytest.approx(7.5e-4)
-
-    def test_density_difference_temperature_only(self, table_params):
-        # direct evaluation with table coefficients
-        assert density_difference(35.0, 35.0, 30.0, 10.0, table_params) == \
-            pytest.approx(-3.4e-3)
-
-    def test_exchange_function_zero_difference(self, table_params):
-        assert exchange_function(0.0, table_params) == \
-            pytest.approx(1.0 / table_params.diffusion_time)
-
-    def test_exchange_function_quadratic_term(self, table_params):
-        base = 1.0 / table_params.diffusion_time
-        # direct evaluation: q/V * (3.4e-3)^2
-        assert exchange_function(3.4e-3, table_params) - base == \
-            pytest.approx(9.17534455667789e-10, rel=1e-12)
-
-    def test_exchange_function_quadratic_scaling(self, table_params):
-        base = 1.0 / table_params.diffusion_time
-        one = exchange_function(1e-3, table_params) - base
-        two = exchange_function(2e-3, table_params) - base
-        assert two == pytest.approx(4.0 * one)
-
-    def test_drift_requires_freshwater_flux(self, table_params):
-        with pytest.raises(ModelError, match="freshwater_flux"):
-            drift_dimensional(1.0, 1.0, table_params)
-
-    def test_drift_restoring_vanishes_at_theta(self):
-        params = DimensionalParams(freshwater_flux=0.0)
-        d_t, d_s = drift_dimensional(params.temperature_difference, 0.0, params)
-        q = exchange_function(
-            params.thermal_expansion * params.temperature_difference, params)
-        assert d_t == pytest.approx(-q * params.temperature_difference)
-        assert d_s == 0.0
-
-    def test_drift_at_zero_differences(self):
-        params = DimensionalParams(freshwater_flux=9.276982264146245e-08)
-        d_t, d_s = drift_dimensional(0.0, 0.0, params)
-        assert d_t == pytest.approx(params.temperature_difference
-                                    / params.relaxation_time)
-        assert d_s == pytest.approx(params.freshwater_flux * 35.0 / 4500.0)
-
-    def test_drift_regression_at_table_values(self):
-        # frozen regression: direct formula evaluation with table numbers
-        params = DimensionalParams(freshwater_flux=9.276982264146245e-08)
-        d_t, d_s = drift_dimensional(20.0, 2.0, params)
-        assert math.isfinite(d_t) and math.isfinite(d_s)
-        assert d_t == pytest.approx(-8.624511071373278e-09, rel=1e-12)
-        assert d_s == pytest.approx(-1.4090804214817548e-10, rel=1e-12)
-
 
 class TestNondimensionalize:
     def test_alpha_ratio(self):
@@ -184,20 +111,6 @@ class TestNondimensionalize:
 
 
 class TestReducedDynamics:
-    def test_drift_2d_equal_state(self):
-        dx, dy = drift_2d(BoxState2D(1.0, 1.0), ND)
-        assert dx == pytest.approx(-1.0)
-        assert dy == pytest.approx(0.1)
-
-    def test_drift_2d_origin(self):
-        dx, dy = drift_2d(BoxState2D(0.0, 0.0), NondimensionalParams(0.0, 50.0, 6.2))
-        assert dx == pytest.approx(50.0)
-        assert dy == 0.0
-
-    def test_drift_2d_vanishes_at_equilibrium(self):
-        _, dy = drift_2d(BoxState2D(1.0, 0.2402), ND)
-        assert abs(dy) < 5e-4
-
     def test_drift_reduced_values(self):
         assert abs(CESSI.drift(0.2402)) < 5e-4
         assert CESSI.drift(0.0) == ND.f_bar
@@ -206,7 +119,12 @@ class TestReducedDynamics:
     @settings(deadline=None, max_examples=100)
     @given(st.floats(min_value=-1.0, max_value=2.5))
     def test_reduced_equals_2d_y_component_at_x1(self, y):
-        _, dy = drift_2d(BoxState2D(1.0, y), ND)
+        # The salinity equation of the nondimensional two-box model,
+        # dy/dt = f_bar - y (1 + mu2 (x - y)^2), on the slow manifold x = 1
+        # of the fast temperature x: the reduced drift is the simplified
+        # system of that model.
+        x = 1.0
+        dy = ND.f_bar - y * (1.0 + ND.mu2 * (x - y) ** 2)
         assert CESSI.drift(y) == dy
 
     @settings(deadline=None, max_examples=100)
@@ -315,47 +233,10 @@ class TestFindEquilibria:
         assert len(eqs) >= np.count_nonzero(values[:-1] * values[1:] < 0.0)
 
 
-class TestIntegrate2D:
-    # The quasi-steady temperature sits at 1 - coupling/alpha with
-    # coupling = 1 + mu2 (1-y)^2 ~ 4.6 near the cold branch, so the honest
-    # O(1/alpha) bounds carry that factor.
-
-    def test_fast_variable_relaxes(self):
-        traj = integrate_deterministic_2d(ND, BoxState2D(0.0, 0.2402),
-                                          horizon=10.0 / ND.alpha,
-                                          step=1.0 / ND.alpha)
-        assert traj.x[3] > 0.9                      # relaxation rate ~ alpha
-        assert abs(traj.x[-1] - 1.0) < 6.0 / ND.alpha
-
-    def test_fixed_point_residual(self):
-        from scipy.optimize import root
-
-        def rhs(v):
-            return drift_2d(BoxState2D(v[0], v[1]), ND)
-
-        fp = root(rhs, [1.0, ROOTS[0]], tol=1e-13).x
-        assert abs(fp[0] - 1.0) < 6.0 / ND.alpha
-        assert abs(fp[1] - ROOTS[0]) < 6.0 / ND.alpha
-        traj = integrate_deterministic_2d(ND, BoxState2D(1.0, ROOTS[0]),
-                                          horizon=1.0, step=0.01)
-        assert np.all(np.abs(traj.x - fp[0]) < 2e-3)
-        assert np.all(np.abs(traj.y - fp[1]) < 2e-3)
-
-    def test_slow_dynamics_matches_reduced_equation(self):
-        from scipy.integrate import solve_ivp
-        y0 = 0.5
-        horizon = 2.0
-        traj = integrate_deterministic_2d(ND, BoxState2D(1.0, y0), horizon, 0.01)
-        ref = solve_ivp(lambda _t, y: CESSI.drift(y), (0, horizon), [y0],
-                        t_eval=traj.times, rtol=1e-10, atol=1e-12)
-        assert np.max(np.abs(traj.y - ref.y[0])) < 15.0 / ND.alpha
-
-    def test_rejects_bad_steps(self):
-        with pytest.raises(ModelError):
-            integrate_deterministic_2d(ND, BoxState2D(1.0, 0.5), -1.0, 0.1)
-
+class TestImportCost:
     def test_package_import_leaves_scipy_integrate_unloaded(self):
-        # only this integrator needs scipy.integrate, so it imports it lazily
+        # scipy.integrate adds ~0.25 s and 23 MB to an import; nothing in the
+        # package imports it now, and this keeps it that way
         src = str(Path(thcbridge.__file__).resolve().parents[1])
         probe = ("import sys, thcbridge, thcbridge.cli, thcbridge.validate; "
                  "print('scipy.integrate' in sys.modules)")
@@ -391,7 +272,3 @@ class TestDriftModels:
         z = ZeroDrift()
         assert np.all(z.drift(np.array([1.0, -3.0])) == 0.0)
         assert np.all(z.potential(np.array([1.0, -3.0])) == 0.0)
-
-    def test_state_must_be_finite(self):
-        with pytest.raises(ModelError):
-            BoxState2D(float("nan"), 0.0)

@@ -32,6 +32,21 @@ class TestConfig:
         with pytest.raises(GridError):
             EnsembleConfig(dt_sde=0.0)
 
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"n_paths": 10.5}, "n_paths"),
+        ({"n_paths": True}, "n_paths"),
+        ({"seed": -1}, "seed"),
+        ({"seed": 1.5}, "seed"),
+        ({"seed": False}, "seed"),
+        ({"dt_sde": True}, "dt_sde"),
+        ({"dt_sde": math.inf}, "dt_sde"),
+    ])
+    def test_rejects_bad_values(self, kwargs, name):
+        with pytest.raises(GridError, match=name):
+            EnsembleConfig(**kwargs)
+        cfg = EnsembleConfig(n_paths=np.int64(10), seed=np.uint32(7))
+        assert (cfg.n_paths, cfg.seed) == (10, 7)
+
 
 class TestL1Distance:
     def test_identity(self):
