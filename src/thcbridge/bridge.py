@@ -11,16 +11,21 @@ The abrupt transition shows up as a single step where that argmax flips.
 :func:`solve_bridge` returns both surfaces with the path.
 :func:`solve_path` gives the same path, bit for bit, from one fused march
 of both factors that stores half of their slices; the ``bridge-path``
-command runs it, and the noise sweep runs its rows through it on a thread
-pool.
+command runs it, and :func:`detect_jump` reports the midpoint of the step
+where the path moves most.
+
+The noise sweep needs only the jump time, so its rows march nothing where
+they can avoid it: :func:`_spectral_jump` takes the time at which the two
+well modes of the product cross from the top eigenpairs of the
+symmetrized generator (:func:`thcbridge.fpe._spectrum`).  That crossing
+lies inside the step whose midpoint :func:`detect_jump` reports; a row the
+spectrum cannot certify runs :func:`solve_path` instead.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -33,7 +38,8 @@ from .fpe import (
     TimeGrid,
     _forward_operator,
     _march_sources,
-    _usable_cpus,
+    _point_modes,
+    _spectrum,
     delta_init,
     solve_endpoint_conditioned,
     solve_forward,
@@ -44,6 +50,22 @@ DEFAULT_JUMP_THRESHOLD = 0.3
 # Below this slice maximum the product of the two surfaces is formed in log
 # space to dodge underflow at small noise levels.
 _LINEAR_FLOOR = 1e-280
+
+# Spectral sweep rows look for the crossing on [_SCAN_EDGE, T - _SCAN_EDGE]
+# at _SCAN_TIMES times before refining it.  There both factors have run for
+# at least _SCAN_EDGE, so a mode below _SPECTRAL_CUT keeps less than e^-100
+# of its weight and is not computed.
+_SCAN_EDGE = 0.5
+_SCAN_TIMES = 37
+_SPECTRAL_CUT = -100.0 / _SCAN_EDGE
+# The mode sums carry the eigenvectors' roundoff, about 1e-12 of a sum's
+# largest term on the default grid.  A factor whose value at a side peak is
+# below this fraction of that term is then off by more than 1e-4 relative,
+# which can move the crossing by more than a march step; the row goes to the
+# march.
+_ROUNDOFF_FLOOR = 1e-8
+# Width of the bracket at which the crossing's refinement stops.
+_CROSSING_TOL = 1e-10
 
 
 class BridgeError(RuntimeError):
@@ -85,12 +107,14 @@ class JumpEvent:
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """Jump summary for one noise intensity."""
+    """Jump summary for one noise intensity; ``method`` is the route that
+    produced it, ``"spectral"`` or ``"march"``."""
 
     epsilon: float
     t_jump: float | None
     gap: float | None
     converged: bool
+    method: str
     error: str | None = None
 
 
@@ -332,36 +356,162 @@ def solve_path(drift, eps, spec: BridgeSpec, grid: SpatialGrid,
                   max_mass_drift=max_mass_drift)
 
 
+def _saddle(log_pi: np.ndarray, grid: SpatialGrid,
+            spec: BridgeSpec) -> float | None:
+    """The drift's unstable root between the endpoints, or None unless
+    there is exactly one.
+
+    The face exponents a = diff(log pi_d) have the sign of the drift, so an
+    unstable root is where a turns from negative to positive, skipping the
+    faces where it is zero; the root is interpolated linearly between the
+    two faces.
+    """
+    a = np.diff(log_pi)                     # a[k] sits on face k + 1
+    nonzero = np.flatnonzero(a)
+    rise = np.flatnonzero((a[nonzero[:-1]] < 0.0) & (a[nonzero[1:]] > 0.0))
+    left, right = nonzero[rise], nonzero[rise + 1]
+    roots = grid.faces[left + 1] + ((right - left) * grid.spacing
+                                    * a[left] / (a[left] - a[right]))
+    lo, hi = sorted((spec.y_start, spec.y_end))
+    roots = roots[(roots > lo) & (roots < hi)]
+    return float(roots[0]) if roots.size == 1 else None
+
+
+def _spectral_jump(drift, eps, spec: BridgeSpec,
+                   grid: SpatialGrid) -> JumpEvent | None:
+    """The jump of the ML path from the spectrum of the generator, without
+    a march; None where the spectrum cannot certify it.
+
+    With the eigenpairs of :func:`thcbridge.fpe._spectrum`, the product
+    that :func:`solve_path` maximises is p(t) r(T - t) = pi_d u w, with
+    u = V e^(lam t) c_s, w = V e^(lam (T - t)) c_e and c = V^T Pi_d^-1/2
+    delta for each endpoint (:func:`thcbridge.fpe._point_modes`; each
+    factor is known up to a constant, which moves no argmax).  Split
+    at the drift's unstable root y2, h(t) = log max(pi_d u w) on the start
+    side minus the same on the end side.  h is scanned on
+    [_SCAN_EDGE, T - _SCAN_EDGE] and its first + to - sign change refined by
+    regula falsi (Illinois): the ML path flips sides exactly there.  The
+    event's y_before and y_after are the two side peaks at the crossing,
+    refined as in :func:`_subgrid_peaks`, and the gap is their distance.
+
+    None (the caller marches instead) when there is no single unstable
+    root between the endpoints, the window is empty, h does not start
+    positive or change sign in the window, or a factor at a side peak lies
+    within _ROUNDOFF_FLOOR of its mode sum's largest term.
+    """
+    horizon = spec.horizon
+    if horizon <= 2.0 * _SCAN_EDGE:
+        return None
+    lam, vecs, log_pi = _spectrum(drift, eps, grid, _SPECTRAL_CUT)
+    y2 = _saddle(log_pi, grid, spec)
+    if y2 is None:
+        return None
+    split = int(np.searchsorted(grid.nodes, y2))
+    sides = (slice(0, split), slice(split, None))
+    if spec.y_start > spec.y_end:
+        sides = sides[::-1]
+
+    c_s = _point_modes(vecs, log_pi, grid, spec.y_start)[0]
+    c_e = _point_modes(vecs, log_pi, grid, spec.y_end)[0]
+
+    def log_product(t):
+        """log(pi_d u w) at the times t (one column each), up to a constant,
+        with the mode terms of u and w."""
+        t = np.atleast_1d(t)
+        terms_u = np.exp(np.outer(lam, t)) * c_s[:, None]
+        terms_w = np.exp(np.outer(lam, horizon - t)) * c_e[:, None]
+        u, w = vecs @ terms_u, vecs @ terms_w
+        uw = u * w
+        log_uw = np.log(uw, out=np.full(uw.shape, -np.inf), where=uw > 0.0)
+        return log_pi[:, None] + log_uw, (u, terms_u), (w, terms_w)
+
+    def h(t):
+        log_prod = log_product(t)[0]
+        with np.errstate(invalid="ignore"):   # -inf - -inf: no certificate
+            return log_prod[sides[0]].max(axis=0) - log_prod[sides[1]].max(axis=0)
+
+    times = np.linspace(_SCAN_EDGE, horizon - _SCAN_EDGE, _SCAN_TIMES)
+    scan = h(times)
+    if not scan[0] > 0.0:
+        return None
+    k = int(np.argmax(~(scan > 0.0)))       # first scan time not above zero
+    if k == 0 or not scan[k] <= 0.0:        # no sign change, or a NaN
+        return None
+    t0, t1 = float(times[k - 1]), float(times[k])
+    h0, h1 = float(scan[k - 1]), float(scan[k])
+    moved = None                            # the end the last step moved
+    while t1 - t0 > _CROSSING_TOL:
+        t = (t0 * h1 - t1 * h0) / (h1 - h0)     # NaN if an end is infinite
+        if not t0 < t < t1:
+            t = 0.5 * (t0 + t1)
+        ht = float(h(t)[0])
+        if math.isnan(ht):
+            return None
+        # Illinois: an end kept twice in a row has its h halved
+        if ht > 0.0:
+            t0, h0 = t, ht
+            h1 *= 0.5 if moved == 0 else 1.0
+            moved = 0
+        else:
+            t1, h1 = t, ht
+            h0 *= 0.5 if moved == 1 else 1.0
+            moved = 1
+    t_jump = 0.5 * (t0 + t1)
+
+    log_prod, *factors = log_product(t_jump)
+    log_prod = log_prod[:, 0]
+    peaks = np.array([int(np.argmax(log_prod[side])) + side.start
+                      for side in sides])
+    for value, terms in factors:
+        largest = np.abs(vecs[peaks] * terms[:, 0]).max(axis=1)
+        if not (np.abs(value[peaks, 0]) > _ROUNDOFF_FLOOR * largest).all():
+            return None
+    rows = np.exp(log_prod - log_prod[peaks].max())
+    y_before, y_after = _subgrid_peaks(np.stack([rows, rows]), peaks, grid)
+    return JumpEvent(t_jump=float(t_jump), y_before=float(y_before),
+                     y_after=float(y_after), gap=float(abs(y_after - y_before)))
+
+
 def _sweep_row(drift, spec: BridgeSpec, grid: SpatialGrid, times: TimeGrid,
                threshold: float, eps: float) -> SweepRecord:
+    """One sweep record: the spectral jump, or the march's where the
+    spectrum cannot certify one."""
+    method = "spectral"
     try:
-        event = detect_jump(solve_path(drift, eps, spec, grid, times),
-                            threshold)
+        event = _spectral_jump(drift, eps, spec, grid)
+        if event is None:
+            method = "march"
+            event = detect_jump(solve_path(drift, eps, spec, grid, times),
+                                threshold)
+        elif event.gap <= threshold:
+            event = None
     except (SolverError, BridgeError) as exc:
-        return SweepRecord(epsilon=eps, t_jump=None, gap=None,
-                           converged=False, error=f"eps={eps:g}: {exc}")
+        return SweepRecord(epsilon=eps, t_jump=None, gap=None, converged=False,
+                           method=method, error=f"eps={eps:g}: {exc}")
     if event is None:
-        return SweepRecord(epsilon=eps, t_jump=None, gap=None, converged=False)
+        return SweepRecord(epsilon=eps, t_jump=None, gap=None, converged=False,
+                           method=method)
     return SweepRecord(epsilon=eps, t_jump=event.t_jump, gap=event.gap,
-                       converged=True)
+                       converged=True, method=method)
 
 
 def sweep_noise(drift, spec: BridgeSpec, eps_list, grid: SpatialGrid,
                 times: TimeGrid,
                 threshold: float = DEFAULT_JUMP_THRESHOLD) -> list[SweepRecord]:
-    """Jump time for each noise intensity, one :func:`solve_path` per entry.
+    """Jump time for each noise intensity, in input order.
 
-    The rows run on a thread pool of min(rows, usable CPUs) workers; the
-    solves spend most of their time in LAPACK, which releases the GIL, and
-    each worker holds about one surface (see :func:`solve_path`).  Solver
+    Each row takes the crossing of the two well modes from the spectrum of
+    the generator (:func:`_spectral_jump`); a row the spectrum cannot
+    certify runs :func:`solve_path` and :func:`detect_jump` on ``times``,
+    and its record says so.  The rows run one after another: the partial
+    eigensolve holds the GIL, so threads would not overlap them.  Solver
     failures are recorded on the affected entry and do not stop the
-    remaining intensities.  Records follow the input order.
+    remaining intensities.
     """
     eps_values = [e.epsilon if hasattr(e, "epsilon") else float(e)
                   for e in eps_list]
     if not eps_values:
         raise GridError("eps_list must not be empty")
-    row = partial(_sweep_row, drift, spec, grid, times, threshold)
-    with ThreadPoolExecutor(max_workers=min(len(eps_values),
-                                            _usable_cpus())) as pool:
-        return list(pool.map(row, eps_values))
+    _check_spec(spec, grid, times)
+    return [_sweep_row(drift, spec, grid, times, threshold, eps)
+            for eps in eps_values]

@@ -162,10 +162,12 @@ def cmd_sweep(config: RunConfig, manifest: _Manifest, args) -> int:
                               config.spatial_grid(), config.time_grid(),
                               config.jump_threshold)
     write_csv(manifest.out_dir / "sweep.csv",
-              ["epsilon", "t_jump", "gap", "converged"],
-              [(r.epsilon, r.t_jump, r.gap, r.converged) for r in records])
+              ["epsilon", "t_jump", "gap", "converged", "method"],
+              [(r.epsilon, r.t_jump, r.gap, r.converged, r.method)
+               for r in records])
     failures = [r for r in records if r.error]
     manifest.diagnose("converged_rows", sum(r.converged for r in records))
+    manifest.diagnose("march_rows", sum(r.method == "march" for r in records))
     if failures:
         manifest.diagnose("sweep_errors", [r.error for r in failures])
     for r in records:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .bridge import DEFAULT_JUMP_THRESHOLD, BridgeSpec
-from .fpe import SpatialGrid, TimeGrid
+from .fpe import GridError, SpatialGrid, TimeGrid
 from .model import (
     DRIFTS,
     YEAR_SECONDS,
@@ -108,14 +108,21 @@ class RunConfig:
     def spatial_grid(self) -> SpatialGrid:
         try:
             return SpatialGrid(self.y_min, self.y_max, self.n_cells)
-        except ValueError as exc:
-            raise ConfigError("n_cells", str(exc)) from exc
+        except GridError as exc:
+            raise self._grid_error(exc) from exc
 
     def time_grid(self) -> TimeGrid:
         try:
             return TimeGrid(0.0, self.t_end, self.n_steps)
-        except ValueError as exc:
-            raise ConfigError("n_steps", str(exc)) from exc
+        except GridError as exc:
+            raise self._grid_error(exc) from exc
+
+    def _grid_error(self, exc: GridError) -> ConfigError:
+        """The grid error under the config key it names; of an ordered pair
+        (y_min < y_max), the key this run moved from its default."""
+        keys = [k for k in exc.names if k in _FIELD_TYPES]
+        moved = [k for k in keys if getattr(self, k) != getattr(RunConfig, k)]
+        return ConfigError((moved or keys)[0], str(exc))
 
     def bridge_spec(self) -> BridgeSpec:
         return BridgeSpec(self.y_start, self.y_end, self.t_end)

@@ -19,6 +19,13 @@ The backward operator is the exact transpose of the forward one, which makes
 the discrete pairing integral(g * p) dy constant in time (the discrete
 Chapman-Kolmogorov identity) up to roundoff wherever the two sweeps use the
 same scheme.
+
+The generator is in exact discrete detailed balance, so it is similar to a
+symmetric tridiagonal matrix; :func:`_spectrum` gives that matrix's
+eigenpairs, and with them the exact semigroup exp(L t) of the generator
+the march approximates.  The noise sweep reads its jump times from them,
+and the ``semigroup`` validate check measures the march's time error
+against them.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 # Startup steps run backward Euler instead of Crank-Nicolson: CN is only
@@ -49,14 +57,19 @@ class SolverError(RuntimeError):
 
 
 class GridError(ValueError):
-    """Invalid grid construction or mismatched grids."""
+    """Invalid grid construction or mismatched grids; ``names`` are the
+    fields at fault, when the error is about fields."""
+
+    def __init__(self, message: str, *names: str):
+        super().__init__(message)
+        self.names = names
 
 
 def _finite(name: str, value) -> float:
     """``value`` as a float if it is a finite number; a boolean is not one."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real) \
             or not math.isfinite(value):
-        raise GridError(f"{name} must be a finite number, got {value!r}")
+        raise GridError(f"{name} must be a finite number, got {value!r}", name)
     return float(value)
 
 
@@ -64,7 +77,8 @@ def _integer(name: str, value, least: int) -> None:
     """Reject anything but an integer >= ``least``; a boolean is not one."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
             or value < least:
-        raise GridError(f"{name} must be an integer >= {least}, got {value!r}")
+        raise GridError(f"{name} must be an integer >= {least}, got {value!r}",
+                        name)
 
 
 @dataclass(frozen=True)
@@ -77,7 +91,8 @@ class SpatialGrid:
 
     def __post_init__(self) -> None:
         if not _finite("y_max", self.y_max) > _finite("y_min", self.y_min):
-            raise GridError(f"need y_min < y_max, got [{self.y_min}, {self.y_max}]")
+            raise GridError(f"need y_min < y_max, got [{self.y_min}, {self.y_max}]",
+                            "y_min", "y_max")
         _integer("n_cells", self.n_cells, 64)
 
     @property
@@ -116,7 +131,8 @@ class TimeGrid:
 
     def __post_init__(self) -> None:
         if not _finite("t_end", self.t_end) > _finite("t_start", self.t_start):
-            raise GridError(f"need t_start < t_end, got [{self.t_start}, {self.t_end}]")
+            raise GridError(f"need t_start < t_end, got [{self.t_start}, {self.t_end}]",
+                            "t_start", "t_end")
         _integer("n_steps", self.n_steps, 1)
 
     @property
@@ -225,8 +241,9 @@ def _bernoulli(x: np.ndarray) -> np.ndarray:
     return b
 
 
-def _forward_operator(drift, eps, grid: SpatialGrid):
-    """Tridiagonal generator L of the flux-form forward equation.
+def _generator(drift, eps, grid: SpatialGrid):
+    """Tridiagonal generator L of the flux-form forward equation, with the
+    face exponents a.
 
     dp_i/dt = (F_i - F_{i+1}) / h with the Scharfetter-Gummel face fluxes
     F = (D/h) (B(-a) p_left - B(a) p_right), a = f_face h / D, D = eps^2/2,
@@ -237,7 +254,8 @@ def _forward_operator(drift, eps, grid: SpatialGrid):
     diffusion flux.  Columns of L sum to zero, so both Euler and
     Crank-Nicolson updates conserve spacing*sum(p).
 
-    Returns (lower, diag, upper) with lower[i] = L[i+1, i], upper[i] = L[i, i+1].
+    Returns (lower, diag, upper, a) with lower[i] = L[i+1, i],
+    upper[i] = L[i, i+1] and a[i] the exponent of face i + 1.
     """
     h = grid.spacing
     d_coef = 0.5 * _as_noise(eps).epsilon**2
@@ -251,7 +269,59 @@ def _forward_operator(drift, eps, grid: SpatialGrid):
     diag = np.zeros(grid.n_cells)
     diag[:-1] -= lower             # outflow through the right face
     diag[1:] -= upper              # outflow through the left face
-    return lower, diag, upper
+    return lower, diag, upper, a
+
+
+def _forward_operator(drift, eps, grid: SpatialGrid):
+    """(lower, diag, upper) of the generator L; see :func:`_generator`."""
+    return _generator(drift, eps, grid)[:3]
+
+
+def _spectrum(drift, eps, grid: SpatialGrid, cut: float | None = None):
+    """Eigenpairs of the symmetrized generator, and log pi_d.
+
+    L is in exact detailed balance with respect to pi_d, so
+    S = Pi_d^-1/2 L Pi_d^1/2 is symmetric tridiagonal: its diagonal is L's
+    and its off-diagonal sqrt(lower * upper), which needs no pi_d (the
+    Hermitian transform of Risken, *The Fokker-Planck Equation*, section
+    5.4).  With S = V diag(lam) V^T the semigroup of the march's generator
+    is exp(L t) = Pi_d^1/2 V diag(e^(lam t)) V^T Pi_d^-1/2.
+
+    ``cut`` keeps only the eigenvalues above it; None keeps all.  Returns
+    (lam, V, log_pi): lam ascending, V's columns the eigenvectors, and
+    log pi_d = cumsum(a) with log_pi[0] = 0.  The exponents a come from
+    the drift, not from log(lower / upper), which underflows at small
+    noise.
+    """
+    lower, diag, upper, a = _generator(drift, eps, grid)
+    if not (np.isfinite(diag).all() and np.isfinite(a).all()):
+        raise SolverError("non-finite generator")
+    off = np.sqrt(lower * upper)
+    if cut is None:
+        lam, vecs = eigh_tridiagonal(diag, off)
+    else:
+        # bisection and inverse iteration (stebz/stein): unlike stemr, it
+        # allocates only the selected vectors
+        lam, vecs = eigh_tridiagonal(diag, off, select="v",
+                                     select_range=(cut, 1.0))
+    return lam, vecs, np.concatenate(([0.0], np.cumsum(a)))
+
+
+def _point_modes(vecs, log_pi, grid: SpatialGrid, y0: float):
+    """(c, ref): the mode coefficients c = V^T Pi_d^-1/2 delta of the point
+    source at ``y0``, with pi_d taken relative to ref = log pi_d at the
+    delta's first cell, so that exp(L t) delta = e^((log_pi - ref)/2)
+    V e^(lam t) c.
+
+    Pi_d^-1/2 is needed only at the delta's nonzero cells, and relative to
+    one of them it cannot overflow; at every node it overflows once
+    eps <= 0.12 on the default grid.
+    """
+    delta = delta_init(grid, y0)
+    cells = np.flatnonzero(delta)
+    ref = log_pi[cells[0]]
+    weight = np.exp(-0.5 * (log_pi[cells] - ref))
+    return vecs[cells].T @ (delta[cells] * weight), ref
 
 
 def _factor(lower, diag, upper, shift: float, weight: float, scheme: str):

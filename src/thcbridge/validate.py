@@ -18,6 +18,8 @@ from .config import ConfigError, RunConfig
 from .fpe import (
     SpatialGrid,
     TimeGrid,
+    _point_modes,
+    _spectrum,
     hitting_probability,
     solve_backward,
     solve_forward,
@@ -172,6 +174,37 @@ def check_grid_convergence(config: RunConfig) -> CheckResult:
                        detail=f"refinement ratio {ratio:.2f} (need >= 3)")
 
 
+def check_semigroup(config: RunConfig) -> CheckResult:
+    """The march converges at second order in time to the exact semigroup
+    of its own generator.
+
+    On the configured grid and drift, from y_start at eps = 0.20 over
+    T = 1, the final slice after 100 and after 400 steps is compared with
+    exp(L T) delta from the full spectrum (:func:`thcbridge.fpe._spectrum`),
+    so only the time error is left.  Requires the L1 at 100 steps below
+    1e-3 and the 100/400 error ratio at least 12 (16 for a second-order
+    march, 4 for a first-order one).
+    """
+    drift = config.drift_model()
+    grid = config.spatial_grid()
+    eps, horizon = 0.20, 1.0
+    lam, vecs, log_pi = _spectrum(drift, eps, grid)
+    modes, ref = _point_modes(vecs, log_pi, grid, config.y_start)
+    exact = np.exp(0.5 * (log_pi - ref)) * (vecs @ (np.exp(lam * horizon)
+                                                     * modes))
+    errors = [l1_distance(solve_forward(drift, eps, grid,
+                                        TimeGrid(0.0, horizon, n_steps),
+                                        config.y_start).values[-1],
+                          exact, grid)
+              for n_steps in (100, 400)]
+    ratio = errors[0] / errors[1] if errors[1] > 0 else math.inf
+    tol = 1e-3
+    return CheckResult("semigroup", errors[0], tol,
+                       errors[0] <= tol and ratio >= 12.0,
+                       detail=f"eps=0.2, T=1, 100/400-step ratio {ratio:.2f} "
+                              "(need >= 12)")
+
+
 def check_resolution_stability(config: RunConfig) -> CheckResult:
     """Doubling both resolutions moves the jump time by at most 2 dt."""
     drift = config.drift_model()
@@ -199,10 +232,13 @@ def check_mc_forward(config: RunConfig) -> CheckResult:
     times = config.time_grid()
     drift = config.drift_model()
     eps = 0.2
-    surface = solve_forward(drift, eps, grid, times, config.y_start)
+    # keep a copy of the final slice only: the surface is freed before the
+    # ensemble runs
+    final = solve_forward(drift, eps, grid, times,
+                          config.y_start).values[-1].copy()
     cfg = config.ensemble_config()
     hist = euler_maruyama_ensemble(drift, eps, config.y_start, grid, times, cfg)
-    measured = l1_distance(hist.densities[-1], surface.values[-1], grid)
+    measured = l1_distance(hist.densities[-1], final, grid)
     return CheckResult("mc-forward", measured, 0.05, measured <= 0.05,
                        detail=f"n_paths={cfg.n_paths}, eps=0.2")
 
@@ -241,6 +277,7 @@ CHECKS = {
     "brownian-bridge": check_brownian_bridge,
     "double-well-antisymmetry": check_double_well_antisymmetry,
     "grid-convergence": check_grid_convergence,
+    "semigroup": check_semigroup,
     "resolution-stability": check_resolution_stability,
     "mc-forward": check_mc_forward,
     "mc-hitting": check_mc_hitting,

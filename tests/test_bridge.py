@@ -1,7 +1,5 @@
 """Bridge products, path extraction, jump detection and the noise sweep."""
 
-import sys
-
 import numpy as np
 import pytest
 
@@ -28,6 +26,8 @@ from thcbridge.fpe import (
     solve_forward,
 )
 from thcbridge.model import CessiReduced, DoubleWell, ZeroDrift
+
+from conftest import traced_peak
 
 CESSI = CessiReduced(1.1, 6.2)
 
@@ -354,10 +354,12 @@ class TestSweep:
         assert records[0].converged
 
     def test_no_jump_marked_unconverged(self):
+        # without an unstable root the spectrum certifies nothing, and the
+        # march finds no jump
         records = sweep_noise(ZeroDrift(), BridgeSpec(0.0, 0.5, 10.0),
                               [0.3], GRID, TIMES, 0.3)
         assert records == [type(records[0])(epsilon=0.3, t_jump=None, gap=None,
-                                            converged=False)]
+                                            converged=False, method="march")]
 
     def test_empty_list_rejected(self):
         with pytest.raises(GridError):
@@ -366,36 +368,43 @@ class TestSweep:
 
     def test_failure_annotated_with_epsilon(self, monkeypatch):
         # per-epsilon solver failures are recorded and do not stop the sweep
-        real = bridge_mod.solve_path
+        real = bridge_mod._spectrum
 
         def flaky(drift, eps, *args):
             if eps == 0.22:
                 raise SolverError("forced failure")
             return real(drift, eps, *args)
 
-        monkeypatch.setattr(bridge_mod, "solve_path", flaky)
+        monkeypatch.setattr(bridge_mod, "_spectrum", flaky)
         records = sweep_noise(CESSI, BridgeSpec(0.2402, 1.0687, 10.0),
                               [0.22, 0.25], GRID, TIMES, 0.3)
         assert len(records) == 2
         assert not records[0].converged
-        assert records[0].error is not None and "0.22" in records[0].error
+        assert records[0].error == "eps=0.22: forced failure"
+        assert records[0].method == "spectral"
         assert records[1].converged and records[1].error is None
 
-    def test_records_do_not_depend_on_worker_count(self, monkeypatch):
-        eps_list = [0.01, 0.18, 0.2, 0.25, 0.3]
-        runs = []
-        for workers in (1, 2, 3):
-            monkeypatch.setattr(bridge_mod, "_usable_cpus", lambda: workers)
-            interval = sys.getswitchinterval()
-            sys.setswitchinterval(1e-6)
-            try:
-                runs.append(sweep_noise(CESSI, BridgeSpec(0.2402, 1.0687, 10.0),
-                                        eps_list, GRID, TIMES, 0.3))
-            finally:
-                sys.setswitchinterval(interval)
-        assert [r.epsilon for r in runs[0]] == eps_list
-        assert runs[0][0].error is not None and runs[0][1].converged
-        assert runs[0] == runs[1] == runs[2]
+    def test_records_follow_input_order(self):
+        # a march row that fails, a march row and spectral rows, in both
+        # orders: each record stays with its epsilon
+        eps_list = [0.01, 0.05, 0.2, 0.25, 0.3]
+        spec = BridgeSpec(0.2402, 1.0687, 10.0)
+        records = sweep_noise(CESSI, spec, eps_list, GRID, TIMES, 0.3)
+        assert [r.epsilon for r in records] == eps_list
+        assert [r.method for r in records] == ["march", "march", "spectral",
+                                               "spectral", "spectral"]
+        assert records[0].error is not None and records[1].converged
+        assert sweep_noise(CESSI, spec, eps_list[::-1], GRID, TIMES,
+                           0.3) == records[::-1]
+
+    def test_spectral_row_is_the_threshold_free_crossing(self):
+        # the threshold only decides whether the crossing counts as a jump
+        spec = BridgeSpec(0.2402, 1.0687, 10.0)
+        [kept] = sweep_noise(CESSI, spec, [0.2], GRID, TIMES, 0.3)
+        [dropped] = sweep_noise(CESSI, spec, [0.2], GRID, TIMES, kept.gap)
+        assert kept.converged and kept.method == "spectral"
+        assert dropped == type(kept)(epsilon=0.2, t_jump=None, gap=None,
+                                     converged=False, method="spectral")
 
 
 class TestRowPeaks:
@@ -452,14 +461,23 @@ class TestSolvePath:
         solve_path(CESSI, 0.20, DEFAULT_SPEC, DEFAULT_GRID, DEFAULT_TIMES)
         assert sum(rows) == DEFAULT_TIMES.n_steps + 1
 
-    def test_default_sweep_jump_times_match_solve_bridge(self, sweep_points):
-        # sweep_points: solve_bridge + detect_jump over the 13 default levels
+    def test_default_sweep_crossings_lie_in_the_march_jump_step(
+            self, sweep_points):
+        # sweep_points: solve_bridge + detect_jump over the 13 default
+        # levels.  The march's path flips sides where h changes sign, so
+        # each spectral crossing lies inside the step whose midpoint the
+        # march reports.
         points, _ = sweep_points
         records = sweep_noise(CESSI, DEFAULT_SPEC, [p.epsilon for p in points],
                               DEFAULT_GRID, DEFAULT_TIMES, 0.3)
         assert len(records) == 13
-        assert [r.t_jump for r in records] == [p.t_jump for p in points]
-        assert all(r.converged for r in records)
+        assert all(r.converged and r.method == "spectral" for r in records)
+        half_step = 0.5 * DEFAULT_TIMES.dt
+        for r, p in zip(records, points):
+            assert p.t_jump - half_step <= r.t_jump <= p.t_jump + half_step
+            assert r.gap == pytest.approx(p.gap, abs=DEFAULT_GRID.spacing)
+        t_jumps = [r.t_jump for r in records]
+        assert t_jumps == sorted(t_jumps, reverse=True)
 
     # odd and even step counts, step counts at and below the startup steps,
     # and a partial last chunk of the unstored half
@@ -498,8 +516,29 @@ class TestSolvePath:
         assert records[0].error == (
             "eps=0.01: density supports do not overlap at step 2047: the noise "
             "level is too small for this horizon")
-        assert not records[0].converged
+        assert not records[0].converged and records[0].method == "march"
         assert records[1].converged and records[1].error is None
+        assert records[1].method == "spectral"
+
+    def test_roundoff_floor_row_takes_the_march(self):
+        # at eps = 0.05 the warm-side mode sums sit at their roundoff floor
+        [record] = sweep_noise(CESSI, DEFAULT_SPEC, [0.05], DEFAULT_GRID,
+                               DEFAULT_TIMES, 0.3)
+        assert bridge_mod._spectral_jump(CESSI, 0.05, DEFAULT_SPEC,
+                                         DEFAULT_GRID) is None
+        event = detect_jump(solve_path(CESSI, 0.05, DEFAULT_SPEC, DEFAULT_GRID,
+                                       DEFAULT_TIMES), 0.3)
+        assert record == type(record)(epsilon=0.05, t_jump=event.t_jump,
+                                      gap=event.gap, converged=True,
+                                      method="march")
+
+    def test_spectral_row_traced_peak(self):
+        # no surface is stored: a default row traces under 2 MB, against
+        # about 29 MB for solve_path
+        records, peak = traced_peak(lambda: sweep_noise(
+            CESSI, DEFAULT_SPEC, [0.2], DEFAULT_GRID, DEFAULT_TIMES, 0.3))
+        assert records[0].method == "spectral"
+        assert peak < 2e6
 
     def test_solver_failure_raises_as_solve_bridge(self):
         class NanDrift:

@@ -212,7 +212,9 @@ class TestSweepCommand:
         assert main(args) == 0
         rows = read_csv(out / "sweep.csv")
         assert [r["converged"] for r in rows] == ["true", "true"]
+        assert [r["method"] for r in rows] == ["spectral", "spectral"]
         assert float(rows[0]["t_jump"]) > float(rows[1]["t_jump"])
+        assert read_manifest(out)["diagnostics"]["march_rows"] == 0
 
     def test_no_jump_rows_exit_3(self, tmp_path):
         out = tmp_path / "swz"
@@ -221,6 +223,8 @@ class TestSweepCommand:
         rows = read_csv(out / "sweep.csv")
         assert rows[0]["converged"] == "false"
         assert rows[0]["t_jump"] == ""
+        assert rows[0]["method"] == "march"
+        assert read_manifest(out)["diagnostics"]["march_rows"] == 1
 
     def test_empty_list_config_error(self, tmp_path):
         code = main(["sweep", "--eps-list", "", "--out", str(tmp_path / "swe")])
@@ -288,8 +292,10 @@ class TestFailureModes:
         (["mc", "--param", "dt_sde=nan"], "dt_sde"),
         (["equilibria", "--param", "t_d_years=-1"], "t_d_years"),
         (["equilibria", "--param", "f=1e-7", "--param", "s0=-35"], "s0"),
+        (["equilibria", "--param", "y_min=3"], "y_min"),
+        (["forward", "--param", "t_end=-1"], "t_end"),
     ], ids=["jump_threshold", "f_bar", "derived-f_bar", "alpha", "validate",
-            "eps_list", "dt_sde", "t_d_years", "s0"])
+            "eps_list", "dt_sde", "t_d_years", "s0", "y_min", "t_end"])
     def test_bad_number_exit_2_with_manifest(self, tmp_path, capsys, args, key):
         out = tmp_path / "bad"
         assert main([*args, "--out", str(out)]) == 2

@@ -27,7 +27,7 @@ from thcbridge.fpe import (
     stationary_density,
 )
 import thcbridge.fpe as fpe_mod
-from thcbridge.fpe import _forward_operator, _march_sources
+from thcbridge.fpe import _forward_operator, _march_sources, _spectrum
 from thcbridge.model import CessiReduced, LinearOU, ZeroDrift
 from thcbridge.montecarlo import l1_distance
 
@@ -203,6 +203,52 @@ class TestForwardOperator:
         dif = 0.5 * eps**2 / self.GRID.spacing**2
         assert np.all(lower == dif) and np.all(upper == dif)
         assert np.all(diag[1:-1] == -2.0 * dif)
+
+
+class TestSpectrum:
+    """Eigenpairs of the symmetrized generator S = Pi_d^-1/2 L Pi_d^1/2."""
+
+    GRID = SpatialGrid(-1.0, 2.5, 64)
+
+    def test_full_spectrum_is_the_symmetrized_generator(self):
+        lam, vecs, log_pi = _spectrum(CESSI, 0.25, self.GRID)
+        lower, diag, upper = _forward_operator(CESSI, 0.25, self.GRID)
+        # S[i+1, i] = lower e^(-a/2) and S[i, i+1] = upper e^(a/2) agree
+        a = np.diff(log_pi)
+        off = lower * np.exp(-0.5 * a)
+        np.testing.assert_allclose(upper * np.exp(0.5 * a), off, rtol=1e-12)
+        symmetric = np.diag(diag) + np.diag(off, -1) + np.diag(off, 1)
+        rebuilt = (vecs * lam) @ vecs.T
+        assert np.abs(rebuilt - symmetric).max() <= 1e-12 * np.abs(diag).max()
+        # the stationary mode: lam = 0 with V ~ pi_d^1/2
+        assert abs(lam[-1]) <= 1e-12 * np.abs(diag).max()
+        half = np.exp(0.5 * (log_pi - log_pi.max()))
+        np.testing.assert_allclose(np.abs(vecs[:, -1]),
+                                   half / np.linalg.norm(half), atol=1e-12)
+
+    def test_cut_keeps_the_top_of_the_spectrum(self):
+        lam, vecs, _ = _spectrum(CESSI, 0.25, self.GRID)
+        top, top_vecs, _ = _spectrum(CESSI, 0.25, self.GRID, cut=-200.0)
+        assert len(top) == np.count_nonzero(lam > -200.0) < len(lam)
+        np.testing.assert_allclose(top, lam[lam > -200.0], rtol=1e-10,
+                                   atol=1e-10)
+        assert top_vecs.shape == (self.GRID.n_cells, len(top))
+
+    def test_small_noise_raises_no_warning(self):
+        # at eps = 0.01 log(lower / upper) would underflow; a comes from
+        # the drift instead
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, _, log_pi = _spectrum(CESSI, 0.01, SpatialGrid(), cut=-200.0)
+        assert np.isfinite(log_pi).all()
+
+    def test_non_finite_generator_raises(self):
+        class NanDrift:
+            def drift(self, y):
+                return np.full_like(np.asarray(y, dtype=float), np.nan)
+
+        with pytest.raises(SolverError, match="non-finite generator"):
+            _spectrum(NanDrift(), 0.2, self.GRID)
 
 
 class TestForwardSolver:

@@ -7,6 +7,7 @@ configuration and the report structure is verified.
 
 import pytest
 
+import thcbridge.fpe as fpe
 from thcbridge.config import ConfigError, load_config
 from thcbridge.validate import CHECKS, run_checks
 
@@ -48,3 +49,12 @@ class TestRunChecks:
         config = load_config(overrides=["n_cells=400", "n_steps=2000"])
         result = run_checks(config, ["mass"])[0]
         assert result.passed
+
+    def test_semigroup_check_fails_on_a_first_order_march(self, monkeypatch):
+        # startup steps past the step count make every step backward Euler:
+        # a first-order march, whose 100/400-step error ratio is about 4
+        passed = run_checks(load_config(), ["semigroup"])[0]
+        monkeypatch.setattr(fpe, "RANNACHER_STEPS", 1000)
+        failed = run_checks(load_config(), ["semigroup"])[0]
+        assert passed.passed and not failed.passed
+        assert "ratio 15." in passed.detail and "ratio 4.0" in failed.detail
